@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 
 import pytest
@@ -109,6 +110,13 @@ class TestRunGrid:
         parallel = run_grid([10], 4, 5, workers=2)
         strip = lambda r: {k: v for k, v in r.__dict__.items() if k != "wall_time_ms"}
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+    def test_golden_fingerprint(self, tmp_path):
+        # sha256 of the CSV without wall_time_ms; the grid includes one disconnected row
+        records = run_grid([3, 100, 1000], 20, 5, s2_l=4, out_path=tmp_path / "g.csv")
+        assert sum(r.status == "disconnected" for r in records) == 1
+        digest = hashlib.sha256(strip_timing(tmp_path / "g.csv").encode()).hexdigest()
+        assert digest == "283e8b2a161b5827ed3d8cdfd481dfeaf6ac5373c36a43cb3881d1c269ff1cfa"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -57,6 +58,26 @@ def naive_face_orbits(n: int, pairs: list[tuple[int, int]]) -> list[tuple[int, .
         remaining -= set(cyc)
         orbits.append(tuple(cyc))
     return orbits
+
+
+GOLDEN_N, GOLDEN_SEED = 100_000, 2024
+GOLDEN_MATCHING_SHA256 = "68f3d36dc2b56b5be69f269162fda916f2d9d7cc760ffa9f66e65529c0ab3d8a"
+GOLDEN_FACES_SHA256 = "91343c84187b899f532e25a2fa6a797e78499984c45cc0f762655c63b8687a33"
+
+
+def sha256_of(obj) -> str:
+    return hashlib.sha256(str(obj).encode()).hexdigest()
+
+
+class TestGoldenFingerprints:
+    """The seed stream and the face trace at n = 1e5 are frozen."""
+
+    def test_sample_and_faces(self):
+        g = sample(GOLDEN_N, GOLDEN_SEED)
+        assert sha256_of(g.matching) == GOLDEN_MATCHING_SHA256
+        fd = faces(g)
+        assert sha256_of(fd.faces) == GOLDEN_FACES_SHA256
+        assert (fd.lht, fd.genus, fd.connected) == (12, 49995, True)
 
 
 class TestDartConventions:
