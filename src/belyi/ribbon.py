@@ -27,6 +27,8 @@ __all__ = [
     "DuplicateDart",
     "SelfPairedDart",
     "WrongDartCount",
+    "MalformedMatching",
+    "BrokenInvariant",
     "MaxRejectionsExceeded",
     "RibbonGraph",
     "FaceDecomposition",
@@ -64,6 +66,14 @@ class WrongDartCount(ValueError):
         super().__init__(f"dart {dart} {reason}")
 
 
+class MalformedMatching(ValueError):
+    """A matching or size parameter of the wrong type or shape."""
+
+
+class BrokenInvariant(RuntimeError):
+    """A face trace contradicts the Euler characteristic of a cubic graph."""
+
+
 class MaxRejectionsExceeded(RuntimeError):
     """Rejection sampling for a connected graph exhausted its budget."""
 
@@ -97,26 +107,15 @@ class RibbonGraph:
     ``matching[d]`` is the dart glued to dart ``d``.  The rotation is
     implicit (the fixed 3-cycles per vertex), so two graphs are equal
     exactly when their matchings are.
+
+    The constructor trusts its arguments: ``n >= 1`` and ``matching`` a
+    fixed-point-free involution on ``[0, 6n)``.  Outside input enters
+    through ``from_matching`` or ``from_json_dict``, which validate it;
+    ``sample`` and ``sample_connected`` build valid graphs by construction.
     """
 
     n: int
     matching: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        total = 6 * self.n
-        m = self.matching
-        if len(m) != total:
-            raise WrongDartCount(len(m), f"matching has length {len(m)}, expected {total}")
-        for d in range(total):
-            e = m[d]
-            if e == d:
-                raise SelfPairedDart(d)
-            if not 0 <= e < total:
-                raise WrongDartCount(e, "is outside [0, 6n)")
-            if m[e] != d:
-                raise DuplicateDart(d)
 
     @property
     def num_darts(self) -> int:
@@ -147,7 +146,10 @@ class RibbonGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RibbonGraph":
-        return from_matching(int(data["n"]), [tuple(p) for p in data["matching"]])
+        """Validated graph from ``{"n": int, "matching": [[a, b], ...]}``."""
+        if not isinstance(data, dict) or not isinstance(data["matching"], list):
+            raise MalformedMatching("a graph is an object with an integer n and a list of dart pairs")
+        return from_matching(data["n"], data["matching"])
 
 
 @dataclass(frozen=True)
@@ -181,14 +183,22 @@ class FaceDecomposition:
 def from_matching(n: int, matching: Iterable[Sequence[int]]) -> RibbonGraph:
     """Build a validated graph from a list of dart pairs.
 
-    The pairs must cover [0, 6n) exactly once with no self-pairs.
+    ``n`` and the darts must be ``int`` (not ``bool``), each entry a pair,
+    and the pairs must cover [0, 6n) exactly once with no self-pairs.
     """
+    if type(n) is not int:
+        raise MalformedMatching(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     total = 6 * n
     alpha = [-1] * total
     for pair in matching:
-        a, b = pair
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise MalformedMatching(f"matching entry {pair!r} is not a pair of darts") from None
+        if type(a) is not int or type(b) is not int:
+            raise MalformedMatching(f"matching entry {pair!r} has a dart that is not an integer")
         if a == b:
             raise SelfPairedDart(a)
         for d in (a, b):
@@ -217,47 +227,10 @@ def sample(n: int, seed: int) -> RibbonGraph:
     darts = list(range(total))
     rng.shuffle(darts)
     alpha = [0] * total
-    for i in range(0, total, 2):
-        a, b = darts[i], darts[i + 1]
+    for a, b in zip(darts[0::2], darts[1::2]):
         alpha[a] = b
         alpha[b] = a
     return RibbonGraph(n, tuple(alpha))
-
-
-def _is_transitive(matching: Sequence[int], total: int) -> bool:
-    """Whether rotation and matching generate a transitive dart action.
-
-    Rotation orbits are the per-vertex dart blocks, so transitivity is
-    exactly connectivity of the underlying graph; union-find over the
-    vertices via the matched pairs decides it.
-    """
-    num_vertices = total // 3
-    parent = list(range(num_vertices))
-    for d in range(total):
-        e = matching[d]
-        if e < d:
-            continue
-        a = d // 3
-        b = e // 3
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[b] = a
-    root = 0
-    while parent[root] != root:
-        root = parent[root]
-    for v in range(num_vertices):
-        r = v
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        if r != root:
-            return False
-    return True
 
 
 def sample_connected(
@@ -275,7 +248,7 @@ def sample_connected(
     for attempt in range(max_rejections + 1):
         s = seed if attempt == 0 else derive_seed(seed, attempt)
         g = sample(n, s)
-        if _is_transitive(g.matching, g.num_darts):
+        if faces(g).connected:
             return (g, attempt) if return_rejections else g
     raise MaxRejectionsExceeded(
         f"no connected sample for n={n} after {max_rejections} rejections"
@@ -288,31 +261,52 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
     Orbits of the face permutation partition the darts; the face count,
     degrees, connectivity and (when connected) the genus follow from
     the orbit structure via the Euler characteristic.
+
+    Rotation and matching generate the same group as rotation and the
+    face permutation, so the graph is connected exactly when its faces
+    are connected through the three darts of each vertex.  Each dart's
+    face label makes that a union-find over the ``lht`` faces alone.
     """
     total = g.num_darts
     m = g.matching
-    seen = bytearray(total)
+    step = (1, 1, -2)  # rotation(e) - e, indexed by e % 3
+    label = [0] * total  # 1-based face index of each dart; 0 = not yet traced
     orbits: list[tuple[int, ...]] = []
     for start in range(total):
-        if seen[start]:
+        if label[start]:
             continue
+        k = len(orbits) + 1
         cycle = []
         d = start
-        while not seen[d]:
-            seen[d] = 1
+        while not label[d]:
+            label[d] = k
             cycle.append(d)
             e = m[d]
-            r = e % 3
-            d = e - r + (r + 1) % 3
+            d = e + step[e % 3]
         orbits.append(tuple(cycle))
     degrees = tuple(len(c) for c in orbits)
     lht = len(orbits)
-    assert sum(degrees) == total
-    connected = _is_transitive(m, total)
+    if sum(degrees) != total:
+        raise BrokenInvariant(f"face degrees sum to {sum(degrees)}, expected {total}")
+    parent = list(range(lht + 1))
+    components = lht
+    for a, b in set(zip(label[0::3], label[1::3])) | set(zip(label[1::3], label[2::3])):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            components -= 1
+    connected = components == 1
     genus: int | None = None
     if connected:
         # chi = V - E + F = -n + lht for a cubic graph on 2n vertices
-        assert (g.n - lht) % 2 == 0
+        if (g.n - lht) % 2:
+            raise BrokenInvariant(f"n - lht = {g.n - lht} is odd for a connected graph")
         genus = 1 + (g.n - lht) // 2
-        assert genus >= 0
+        if genus < 0:
+            raise BrokenInvariant(f"genus {genus} < 0 (n = {g.n}, lht = {lht})")
     return FaceDecomposition(tuple(orbits), degrees, lht, genus, connected)

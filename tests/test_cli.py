@@ -6,7 +6,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from belyi.cli import main
+from belyi.ribbon import sample
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -124,6 +127,30 @@ class TestCheeger:
         code, _, err = run_cli(capsys, "cheeger", "--graph", str(path))
         assert code == 2
         assert "disconnected" in err
+
+    @pytest.mark.parametrize(
+        "n, first_pair",
+        [
+            (5, lambda b: [False, b]),
+            (5, lambda b: [0.0, b]),
+            (5, lambda b: ["0", b]),
+            (5.0, lambda b: [0, b]),
+            (5, lambda b: [0, b, b]),
+        ],
+        ids=["bool-dart", "float-dart", "string-dart", "float-n", "triple"],
+    )
+    def test_malformed_graph_exits_2(self, capsys, tmp_path, n, first_pair):
+        # n = 5, seed 3 is a known connected sample whose cheeger run succeeds;
+        # its first pair is (0, b)
+        data = sample(5, 3).to_json_dict()
+        data["n"] = n
+        data["matching"][0] = first_pair(data["matching"][0][1])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "cheeger", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "cheeger", "--n", "50", "--seed", "2")

@@ -7,8 +7,11 @@ import pytest
 from scipy.stats import chi2
 
 from belyi.ribbon import (
+    BrokenInvariant,
     DuplicateDart,
+    MalformedMatching,
     MaxRejectionsExceeded,
+    RibbonGraph,
     SelfPairedDart,
     WrongDartCount,
     derive_seed,
@@ -80,6 +83,21 @@ class TestGoldenFingerprints:
         assert (fd.lht, fd.genus, fd.connected) == (12, 49995, True)
 
 
+def naive_connected(n: int, pairs: list[tuple[int, int]]) -> bool:
+    """Independent connectivity oracle: BFS over the vertices along the edges."""
+    neighbours: dict[int, set[int]] = {v: set() for v in range(2 * n)}
+    for a, b in pairs:
+        neighbours[a // 3].add(b // 3)
+        neighbours[b // 3].add(a // 3)
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        for w in neighbours[frontier.pop()] - reached:
+            reached.add(w)
+            frontier.append(w)
+    return len(reached) == 2 * n
+
+
 class TestDartConventions:
     def test_vertex_blocks(self):
         assert [vertex_of(d) for d in range(6)] == [0, 0, 0, 1, 1, 1]
@@ -117,6 +135,37 @@ class TestFromMatching:
         with pytest.raises(DuplicateDart) as err:
             from_matching(1, [(0, 3), (0, 4), (2, 5)])
         assert err.value.dart == 0
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [
+            (1, [(0, 3), (True, 4), (2, 5)]),
+            (1, [(False, 3), (1, 4), (2, 5)]),
+            (1, [(0, 3), (1.0, 4), (2, 5)]),
+            (1, [(0, 3), ("1", 4), (2, 5)]),
+            (1, [(0, 3), (1, None), (2, 5)]),
+            (4.5, THETA_TORUS),
+            (1.0, THETA_TORUS),
+            (True, THETA_TORUS),
+            ("1", THETA_TORUS),
+            (1, [(0, 3), (1, 4, 2), (5,)]),
+            (1, [(0, 3), (1,), (2, 5)]),
+            (1, [(0, 3), 1, (2, 5)]),
+        ],
+        ids=[
+            "bool-dart", "false-dart", "float-dart", "string-dart", "null-dart",
+            "float-n", "integral-float-n", "bool-n", "string-n",
+            "triple", "singleton", "bare-int",
+        ],
+    )
+    def test_malformed_rejected(self, n, pairs):
+        with pytest.raises(MalformedMatching):
+            from_matching(n, pairs)
+
+    @pytest.mark.parametrize("data", [[1, THETA_TORUS], {"n": 1, "matching": 5}])
+    def test_json_not_a_graph_object(self, data):
+        with pytest.raises(MalformedMatching):
+            RibbonGraph.from_json_dict(data)
 
     def test_json_round_trip(self):
         g = sample(4, 99)
@@ -192,17 +241,34 @@ class TestFaces:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_orbit_oracle_exhaustive(self, n):
+        outcomes = set()
         for m in all_matchings(list(range(6 * n))):
             pairs = [tuple(sorted(p)) for p in m]
             fd = faces(from_matching(n, pairs))
             oracle = naive_face_orbits(n, pairs)
             assert sorted(fd.faces) == sorted(oracle)
+            assert fd.connected == naive_connected(n, pairs)
+            outcomes.add(fd.connected)
+        # every n = 1 graph is connected; n = 2 has two disjoint theta graphs
+        assert outcomes == ({True} if n == 1 else {True, False})
 
     def test_orbit_oracle_sampled(self):
-        for seed in range(10):
-            g = sample(5, seed)
-            fd = faces(g)
-            assert sorted(fd.faces) == sorted(naive_face_orbits(5, g.pairs()))
+        outcomes = set()
+        for n in (3, 5):
+            for seed in range(10):
+                g = sample(n, seed)
+                fd = faces(g)
+                assert sorted(fd.faces) == sorted(naive_face_orbits(n, g.pairs()))
+                assert fd.connected == naive_connected(n, g.pairs())
+                outcomes.add(fd.connected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("matching", [(0, 0, 3, 0, 0, 0), (2, 0, 3, 0, 0, 0)])
+    def test_broken_invariant_raises(self, matching):
+        # not involutions, which the constructor trusts; the trace yields a
+        # connected graph with odd n - lht, or with negative genus
+        with pytest.raises(BrokenInvariant):
+            faces(RibbonGraph(1, matching))
 
     def test_relabeling_invariance(self):
         rng = random.Random(2024)
