@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -156,6 +157,21 @@ class TestCheeger:
         _, out1, _ = run_cli(capsys, "cheeger", "--n", "50", "--seed", "2")
         _, out2, _ = run_cli(capsys, "cheeger", "--n", "50", "--seed", "2")
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (1000, 1, "184faecf271e6d0a619f9213f7fd2bbfa4b2570391ec0a558995071ad395cb3c"),
+            (10000, 7, "94890e7c336c0f64ef481958d94d284a1b3520ff73d488ca68ee367960592938"),
+            (100000, 2024, "30ee23fd373dcdffe566b6b159cefd6739fb938e63c1024d89296bcf85c628d3"),
+        ],
+    )
+    def test_golden_stdout(self, capsys, n, seed, digest):
+        # sha256 of the exact stdout bytes, trailing newline included;
+        # at (100000, 2024) h_upper is 0.47852591019177376 over 149818 segments
+        code, out, _ = run_cli(capsys, "cheeger", "--n", str(n), "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_large_run(self, capsys):
         code, out, _ = run_cli(capsys, "cheeger", "--n", "100000", "--seed", "1")
