@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,9 +62,9 @@ class SelfPairedDart(ValueError):
 class WrongDartCount(ValueError):
     """The matching does not cover [0, 6n) exactly."""
 
-    def __init__(self, dart: int, reason: str):
+    def __init__(self, dart: int | None, reason: str):
         self.dart = dart
-        super().__init__(f"dart {dart} {reason}")
+        super().__init__(reason if dart is None else f"dart {dart} {reason}")
 
 
 class MalformedMatching(ValueError):
@@ -185,11 +186,15 @@ def from_matching(n: int, matching: Iterable[Sequence[int]]) -> RibbonGraph:
 
     ``n`` and the darts must be ``int`` (not ``bool``), each entry a pair,
     and the pairs must cover [0, 6n) exactly once with no self-pairs.
+    A sized ``matching`` of other than 3n pairs is rejected before the
+    6n-entry partner list is allocated.
     """
     if type(n) is not int:
         raise MalformedMatching(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(matching, Sized) and len(matching) != 3 * n:
+        raise WrongDartCount(None, f"matching has {len(matching)} pairs, expected 3n = {3 * n}")
     total = 6 * n
     alpha = [-1] * total
     for pair in matching:
@@ -219,13 +224,31 @@ def sample(n: int, seed: int) -> RibbonGraph:
 
     Deterministic function of (n, seed); every matching is equally
     likely, including those with loops and multiple edges.
+
+    The darts ``0 .. 6n-1`` are shuffled exactly as
+    ``random.Random(seed).shuffle`` shuffles them, call for call, and
+    neighbours are paired: positions (0, 1), (2, 3), ... are the edges.
+    The shuffle is written out so that it draws without a Python call
+    per dart: Fisher-Yates from the last position down, where position
+    ``i`` draws ``getrandbits(k)``, ``k = (i + 1).bit_length()``, until
+    the draw is at most ``i`` -- the same draws, in the same order, as
+    ``Random._randbelow_with_getrandbits``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     total = 6 * n
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     darts = list(range(total))
-    rng.shuffle(darts)
+    top = total - 1
+    while top:
+        k = (top + 1).bit_length()
+        low = 1 << (k - 1)  # positions low - 1 .. top all draw k bits
+        for i in range(top, low - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            darts[i], darts[j] = darts[j], darts[i]
+        top = low - 2
     alpha = [0] * total
     for a, b in zip(darts[0::2], darts[1::2]):
         alpha[a] = b
@@ -272,17 +295,19 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
     step = (1, 1, -2)  # rotation(e) - e, indexed by e % 3
     label = [0] * total  # 1-based face index of each dart; 0 = not yet traced
     orbits: list[tuple[int, ...]] = []
-    for start in range(total):
-        if label[start]:
-            continue
+    traced = start = 0
+    while traced < total:
+        start = label.index(0, start)  # smallest untraced dart, at C speed
         k = len(orbits) + 1
         cycle = []
+        append = cycle.append
         d = start
         while not label[d]:
             label[d] = k
-            cycle.append(d)
+            append(d)
             e = m[d]
             d = e + step[e % 3]
+        traced += len(cycle)
         orbits.append(tuple(cycle))
     degrees = tuple(len(c) for c in orbits)
     lht = len(orbits)

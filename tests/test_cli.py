@@ -153,6 +153,15 @@ class TestCheeger:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_huge_n_short_matching_exits_2(self, capsys, tmp_path):
+        # rejected on its pair count, before a 6n-entry list is allocated
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**15, "matching": []}))
+        code, out, err = run_cli(capsys, "cheeger", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "cheeger", "--n", "50", "--seed", "2")
         _, out2, _ = run_cli(capsys, "cheeger", "--n", "50", "--seed", "2")

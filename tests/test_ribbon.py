@@ -126,6 +126,18 @@ class TestFromMatching:
         with pytest.raises(WrongDartCount):
             from_matching(2, [(0, 3), (1, 4), (2, 5), (6, 9), (7, 10)])
 
+    def test_wrong_dart_count_before_allocation(self):
+        # a sized matching of the wrong length is rejected before the
+        # 6n-entry partner list (here 6e15 entries) is allocated
+        with pytest.raises(WrongDartCount) as err:
+            from_matching(10**15, [])
+        assert err.value.dart is None
+
+    def test_wrong_dart_count_unsized(self):
+        with pytest.raises(WrongDartCount) as err:
+            from_matching(1, iter([(0, 3), (1, 4)]))
+        assert err.value.dart == 2
+
     def test_wrong_dart_count_out_of_range(self):
         with pytest.raises(WrongDartCount) as err:
             from_matching(1, [(0, 3), (1, 4), (2, 6)])
@@ -198,6 +210,21 @@ class TestSample:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             sample(0, 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, -5, 2**63 - 1, 10**30])
+    def test_reproduces_random_shuffle(self, seed):
+        # the reference is computed at run time, so a change to
+        # Random.shuffle in a future CPython fails here instead of
+        # silently changing graphs; 6n = 4092, 4098, 8190, ... sit just
+        # below or above a power of two, where the draw width changes
+        for n in [*range(1, 201), 682, 683, 1365, 2731, 5461, 10923]:
+            darts = list(range(6 * n))
+            random.Random(seed).shuffle(darts)
+            alpha = [0] * (6 * n)
+            for a, b in zip(darts[0::2], darts[1::2]):
+                alpha[a] = b
+                alpha[b] = a
+            assert sample(n, seed).matching == tuple(alpha), n
 
 
 class TestFaces:
