@@ -225,14 +225,13 @@ def sample(n: int, seed: int) -> RibbonGraph:
     Deterministic function of (n, seed); every matching is equally
     likely, including those with loops and multiple edges.
 
-    The darts ``0 .. 6n-1`` are shuffled exactly as
+    Contract: the darts ``0 .. 6n-1`` are shuffled exactly as
     ``random.Random(seed).shuffle`` shuffles them, call for call, and
     neighbours are paired: positions (0, 1), (2, 3), ... are the edges.
-    The shuffle is written out so that it draws without a Python call
-    per dart: Fisher-Yates from the last position down, where position
-    ``i`` draws ``getrandbits(k)``, ``k = (i + 1).bit_length()``, until
-    the draw is at most ``i`` -- the same draws, in the same order, as
-    ``Random._randbelow_with_getrandbits``.
+    The shuffle's loop is written out to save a Python call per dart:
+    position ``i``, from the last down to 1, draws ``getrandbits(k)``
+    with ``k = (i + 1).bit_length()`` until the draw is at most ``i``,
+    as ``Random._randbelow_with_getrandbits`` does, and swaps.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
