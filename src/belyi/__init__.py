@@ -34,7 +34,6 @@ from .experiments import (
     TrialRecord,
     h_fraction_below,
     lht_growth_fit,
-    membership_fraction,
     run_grid,
     run_trial,
 )

@@ -25,6 +25,8 @@ from .cusps import (
     degree_threshold,
     has_large_cusps,
     partition_cusps,
+    small_triangle_area,
+    surface_area,
 )
 from .farey import m_bound
 from .ribbon import FaceDecomposition, RibbonGraph
@@ -45,6 +47,7 @@ __all__ = [
     "certificate",
     "in_f_star",
     "sum_degrees_i1_bound_check",
+    "invariant_failures",
 ]
 
 
@@ -116,19 +119,6 @@ class Division:
     @property
     def num_i1(self) -> int:
         return len(self.i1)
-
-    @property
-    def labels(self) -> dict[tuple[str, int], str]:
-        """Label of every domain: cusp sides, small cusps, triangles."""
-        out: dict[tuple[str, int], str] = {}
-        for i in self.i1:
-            out[("cusp_side1", i)] = "A"
-            out[("cusp_side2", i)] = "B"
-        for i in self.i2:
-            out[("cusp", i)] = "B"
-        for v, lab in enumerate(self.triangle_labels):
-            out[("triangle", v)] = lab
-        return out
 
 
 @dataclass(frozen=True)
@@ -342,3 +332,59 @@ def sum_degrees_i1_bound_check(
         raise HypothesisNotMet(f"lht={fd.lht} exceeds c*log(n)={c * log_n}")
     mass = sum(fd.degrees[i] for i in partition.i1)
     return mass >= (6.0 - c / log_n) * n
+
+
+def invariant_failures(
+    g: RibbonGraph, fd: FaceDecomposition, division: Division | None
+) -> list[str]:
+    """Every identity a sample must satisfy, one message per failure.
+
+    The graph's identities always; with ``division`` also its areas,
+    degree cover and mass floor, boundary darts and length, quotient and
+    area imbalance.  A non-empty result means a bug.
+    """
+    n = g.n
+    failures: list[str] = []
+    if fd.sum_degrees != 6 * n:
+        failures.append(f"degree sum {fd.sum_degrees} != 6n")
+    if fd.connected and (fd.genus is None or 2 - 2 * fd.genus != fd.lht - n):
+        failures.append(f"Euler identity fails: genus={fd.genus}, lht={fd.lht}")
+    area = 2 * n * small_triangle_area() + fd.sum_degrees
+    if not math.isclose(area, surface_area(n), abs_tol=1e-9):
+        failures.append("triangle + cusp area != total area")
+    if division is None:
+        return failures
+
+    if not math.isclose(division.area_a + division.area_b, surface_area(n), abs_tol=1e-9):
+        failures.append("division areas do not conserve total area")
+    mass_i1 = sum(fd.degrees[i] for i in division.i1)
+    mass_i2 = sum(fd.degrees[i] for i in division.i2)
+    if mass_i1 + mass_i2 != 6 * n:
+        failures.append("partition does not cover the degrees")
+    # large cusps hold all degree mass except at most lht small cusps of
+    # at most n / (log n)^2 each
+    if mass_i1 < 6 * n - fd.lht * degree_threshold(n) - 1e-9:
+        failures.append("large-cusp degree mass below its floor")
+    # two boundary darts of triangle v (darts 3v..3v+2) set byte v in two of
+    # the residue slices; at most one per triangle caps the darts at 2n
+    mark = bytearray(6 * n)
+    for d in division.boundary_segments:
+        mark[d] = 1
+    a, b, c = (int.from_bytes(mark[r::3], "little") for r in range(3))
+    if a & b or b & c or a & c:
+        failures.append("a triangle contributes more than one boundary dart")
+    eta_total = math.fsum(c.eta_length for c in division.cuts)
+    if division.boundary_length > 2 * n + eta_total + 1e-9:
+        failures.append("boundary length exceeds 2n plus the cut curves")
+    quotient = division.h_upper * min(division.area_a, division.area_b)
+    if not math.isclose(quotient, division.boundary_length, rel_tol=1e-12):
+        failures.append("quotient inconsistent with boundary length")
+    # area_b - area_a = sum_cuts (side2 - side1) + mass_i2 + (pi - 3)(#B - #A)
+    # with |#B - #A| <= 2n, so the triangle inequality bounds the imbalance
+    # by the sum of the three terms' absolute values.  A cut's sides
+    # differ by (d - 2k) + 2k/y, which is not bounded by 1.
+    sides = math.fsum(abs(c.side2_area - c.side1_area) for c in division.cuts)
+    allowance = 2 * n * small_triangle_area() + sides + mass_i2
+    if abs(division.area_a - division.area_b) > allowance + 1e-9:
+        failures.append("area imbalance beyond allowance")
+    return failures

@@ -1,10 +1,11 @@
 """Seeded Monte Carlo harness over the sampling + cut pipeline.
 
 Each trial samples a graph from a per-trial derived seed, runs the full
-pipeline, checks the exact identities that must hold on every sample,
-and emits one flat record.  Failed trials (disconnected sample, no
-large cusp) are recorded with a status instead of being resampled, so
-measured fractions stay interpretable against the sampling measure.
+pipeline, checks the exact identities that must hold on every sample
+(``cheeger.invariant_failures``), and emits one flat record.  Failed
+trials (disconnected sample, no large cusp) are recorded with a status
+instead of being resampled, so measured fractions stay interpretable
+against the sampling measure.
 Reruns with the same inputs reproduce every field except the wall
 time.
 """
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cheeger import DisconnectedSurface, EmptyI1, cheeger_upper_bound
+from .cheeger import DisconnectedSurface, EmptyI1, cheeger_upper_bound, invariant_failures
 from .cusps import partition_cusps
 from .farey import classify_segments
-from .ribbon import derive_seed, faces, sample
+from .ribbon import BrokenInvariant, derive_seed, faces, sample
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -37,7 +38,6 @@ __all__ = [
     "write_csv",
     "lht_growth_fit",
     "h_fraction_below",
-    "membership_fraction",
     "summarize",
 ]
 
@@ -141,24 +141,6 @@ class SummaryStats:
     fraction_h_below: float | None
 
 
-def _check_record(rec: TrialRecord, n: int, i1_degree_mass: int | None) -> None:
-    """Identities that hold on every sample; a violation is a bug."""
-    if rec.sum_degrees != 6 * n:
-        raise AssertionError(f"degree sum {rec.sum_degrees} != 6n for n={n}")
-    if rec.connected:
-        if rec.genus is None or 2 - 2 * rec.genus != rec.lht - n:
-            raise AssertionError(f"Euler identity fails: genus={rec.genus}, lht={rec.lht}")
-    if rec.status == "ok":
-        if not math.isclose(rec.area_a + rec.area_b, 2 * math.pi * n, abs_tol=1e-9):
-            raise AssertionError("area conservation fails")
-    if i1_degree_mass is not None and n >= 3:
-        # large cusps hold all degree mass except at most lht small cusps
-        # of at most n/(log n)^2 each
-        floor = 6 * n - rec.lht * n / math.log(n) ** 2
-        if i1_degree_mass < floor - 1e-9:
-            raise AssertionError("large-cusp degree mass below its theorem floor")
-
-
 def run_trial(
     n: int,
     seed: int,
@@ -166,25 +148,22 @@ def run_trial(
     y_factor: float = 1.0,
     s2_l: float | None = None,
 ) -> TrialRecord:
-    """Sample, trace faces, run the cut pipeline, and flatten the result."""
+    """Sample, trace faces, run the cut pipeline, and flatten the result;
+    raise ``BrokenInvariant``, naming n and seed, if an identity fails."""
     t0 = time.perf_counter()
     g = sample(n, seed)
     fd = faces(g)
     status = "ok"
+    division = None
     num_i1 = None
     boundary_length = None
     area_a = None
     area_b = None
     h_upper = None
     s2_size = None
-    i1_degree_mass = None
     try:
         division = cheeger_upper_bound(g, fd, n, y_factor)
         num_i1 = division.num_i1
-        i1_degree_mass = sum(fd.degrees[i] for i in division.i1)
-        # sanity: each triangle contributes at most one boundary dart
-        if len(division.boundary_segments) > 2 * n:
-            raise AssertionError("more boundary segments than triangles")
         boundary_length = division.boundary_length
         area_a = division.area_a
         area_b = division.area_b
@@ -199,7 +178,10 @@ def run_trial(
         status = "empty_i1"
         num_i1 = 0
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    rec = TrialRecord(
+    failures = invariant_failures(g, fd, division)
+    if failures:
+        raise BrokenInvariant(f"n={n}, seed={seed}: {failures[0]}")
+    return TrialRecord(
         n=n,
         seed=seed,
         trial_index=trial_index,
@@ -218,8 +200,6 @@ def run_trial(
         s2_size=s2_size,
         wall_time_ms=wall_ms,
     )
-    _check_record(rec, n, i1_degree_mass)
-    return rec
 
 
 def _trial_args(args: tuple) -> TrialRecord:
@@ -305,25 +285,6 @@ def h_fraction_below(records: Sequence[TrialRecord], threshold: float) -> float:
     if not usable:
         raise NoUsableRows("no rows with a computed h_upper")
     return sum(1 for rec in usable if rec.h_upper < threshold) / len(usable)
-
-
-def membership_fraction(
-    records: Sequence[TrialRecord], epsilon_l: float, c: float
-) -> float:
-    """Fraction of rows passing the large-cusp proxy and the lht cap.
-
-    Rows keep only the minimum degree, so this counts the degree proxy,
-    not the exact test of ``in_f_star``; the proxy being sufficient,
-    this is a lower bound on the ``in_f_star`` rate.
-    """
-    if not records:
-        raise NoUsableRows("no records")
-    hits = sum(
-        1
-        for rec in records
-        if rec.min_degree > epsilon_l and rec.lht <= c * math.log(rec.n)
-    )
-    return hits / len(records)
 
 
 def summarize(

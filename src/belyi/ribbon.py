@@ -130,14 +130,6 @@ class RibbonGraph:
     def num_edges(self) -> int:
         return 3 * self.n
 
-    def alpha(self, dart: int) -> int:
-        """Edge partner of a dart."""
-        return self.matching[dart]
-
-    def phi(self, dart: int) -> int:
-        """Face successor: rotation applied to the edge partner."""
-        return rotation(self.matching[dart])
-
     def pairs(self) -> list[tuple[int, int]]:
         """The matching as a sorted list of (low, high) dart pairs."""
         return [(d, self.matching[d]) for d in range(self.num_darts) if d < self.matching[d]]
@@ -256,12 +248,10 @@ def sample(n: int, seed: int) -> RibbonGraph:
 
 
 def sample_connected(
-    n: int,
-    seed: int,
-    max_rejections: int = 10_000,
-    return_rejections: bool = False,
-) -> RibbonGraph | tuple[RibbonGraph, int]:
-    """First connected graph along a deterministic seed sequence.
+    n: int, seed: int, max_rejections: int = 10_000
+) -> tuple[RibbonGraph, FaceDecomposition]:
+    """First connected graph along a deterministic seed sequence, with
+    the faces traced to test its connectivity.
 
     Attempt 0 reuses ``seed`` itself (so the result agrees with
     ``sample`` whenever that draw is already connected); attempt k > 0
@@ -270,8 +260,9 @@ def sample_connected(
     for attempt in range(max_rejections + 1):
         s = seed if attempt == 0 else derive_seed(seed, attempt)
         g = sample(n, s)
-        if faces(g).connected:
-            return (g, attempt) if return_rejections else g
+        fd = faces(g)
+        if fd.connected:
+            return g, fd
     raise MaxRejectionsExceeded(
         f"no connected sample for n={n} after {max_rejections} rejections"
     )

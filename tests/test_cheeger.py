@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -16,10 +17,11 @@ from belyi.cheeger import (
     certificate,
     cheeger_upper_bound,
     in_f_star,
+    invariant_failures,
     sum_degrees_i1_bound_check,
 )
 from belyi.cusps import CuspData, cusps_from_faces, partition_cusps, surface_area
-from belyi.ribbon import derive_seed, faces, from_matching, sample
+from belyi.ribbon import derive_seed, faces, from_matching, rotation, sample
 
 
 def pipeline(n, seed, y_factor=1.0):
@@ -126,16 +128,6 @@ class TestAssignLabels:
                     # all three darts agree with the triangle label
                     assert division.triangle_labels[v] in ("A", "B")
             assert len(division.boundary_segments) <= 2 * g.n
-
-    def test_label_map_covers_domains(self):
-        _, fd, division = pipeline(20, 3)
-        labels = division.labels
-        assert len(labels) == 2 * len(division.i1) + len(division.i2) + 2 * 20
-        for i in division.i1:
-            assert labels[("cusp_side1", i)] == "A"
-            assert labels[("cusp_side2", i)] == "B"
-        for i in division.i2:
-            assert labels[("cusp", i)] == "B"
 
 
 class TestCheegerUpperBound:
@@ -311,3 +303,54 @@ class TestEmptyI1:
         assert fd.genus == 1
         with pytest.raises(EmptyI1):
             cheeger_upper_bound(g, fd, n)
+
+
+class TestInvariantFailures:
+    def test_sampled_surfaces_pass(self):
+        connected = []
+        for n in (3, 4, 5, 100):
+            for seed in range(40 if n < 100 else 5):
+                g = sample(n, derive_seed(53, n, seed))
+                fd = faces(g)
+                assert invariant_failures(g, fd, None) == []
+                if fd.connected:
+                    division = cheeger_upper_bound(g, fd, n)
+                    assert invariant_failures(g, fd, division) == [], (n, seed)
+                connected.append(fd.connected)
+        assert 0 < sum(connected) < len(connected)
+
+    def test_n3_area_imbalance_within_allowance(self):
+        # a cut's sides differ by more than 1 here: d - 2k + 2k/y with d odd
+        g = sample(3, 10657051665635517502)
+        fd = faces(g)
+        division = cheeger_upper_bound(g, fd, 3)
+        assert abs(division.area_a - division.area_b) > 6.85
+        assert invariant_failures(g, fd, division) == []
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d, n: {"area_a": d.area_a + 1}, "division areas do not conserve"),
+            (lambda d, n: {"h_upper": d.h_upper * 2}, "quotient inconsistent"),
+            (lambda d, n: {"boundary_length": d.boundary_length + n}, "boundary length exceeds"),
+            (
+                lambda d, n: {
+                    "boundary_segments": d.boundary_segments
+                    | {rotation(min(d.boundary_segments))}
+                },
+                "more than one boundary dart",
+            ),
+        ],
+    )
+    def test_corrupted_division_flagged(self, change, message):
+        g, fd, division = pipeline(100, 5)
+        assert invariant_failures(g, fd, division) == []
+        bad = dataclasses.replace(division, **change(division, 100))
+        assert any(message in m for m in invariant_failures(g, fd, bad))
+
+    def test_wrong_genus_flagged(self):
+        g, fd, division = pipeline(100, 5)
+        bad = dataclasses.replace(fd, genus=fd.genus + 1)
+        assert invariant_failures(g, bad, None) == [
+            f"Euler identity fails: genus={fd.genus + 1}, lht={fd.lht}"
+        ]

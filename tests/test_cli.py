@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from belyi import experiments
 from belyi.cli import main
 from belyi.ribbon import sample
 
@@ -235,6 +236,12 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 2
 
+    def test_small_n_passes(self, capsys):
+        # at n = 3 a cut's two sides can differ by more than 1 (odd degree)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seeds", "50", "--n", "3")
+        assert code == 0
+        assert out == "suite identities: ok\nsuite farey: ok\nsuite division: ok\n"
+
 
 class TestGrid:
     def test_row_count(self, capsys, tmp_path):
@@ -273,6 +280,25 @@ class TestGrid:
             capsys, "grid", "--n-list", "10,x", "--trials", "1", "--out", str(tmp_path)
         )
         assert code == 2
+
+    @pytest.mark.parametrize("l", ["0", "-1"])
+    def test_nonpositive_s2_l_exits_2_before_running(self, capsys, tmp_path, l):
+        out_dir = tmp_path / "d"
+        code, _, err = run_cli(
+            capsys, "grid", "--n-list", "100000", "--trials", "2", "--s2-l", l,
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert "--s2-l" in err
+        assert not out_dir.exists()
+
+    def test_broken_invariant_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "invariant_failures", lambda g, fd, division: ["boom"])
+        code, _, err = run_cli(
+            capsys, "grid", "--n-list", "10", "--trials", "1", "--seed", "4", "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert "boom" in err and "n=10" in err
 
 
 class TestEntryPoint:

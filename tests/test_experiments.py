@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from belyi import experiments
 from belyi.experiments import (
     CSV_COLUMNS,
     InsufficientData,
@@ -13,12 +14,12 @@ from belyi.experiments import (
     TrialRecord,
     h_fraction_below,
     lht_growth_fit,
-    membership_fraction,
     run_grid,
     run_trial,
     summarize,
     write_csv,
 )
+from belyi.ribbon import BrokenInvariant
 
 
 def read_rows(path):
@@ -68,6 +69,18 @@ class TestRunTrial:
         if rec.status == "ok":
             assert rec.s2_size is not None
         assert run_trial(100, 7, 0).s2_size is None
+
+    def test_broken_invariant_names_n_and_seed(self, monkeypatch):
+        checked = []
+
+        def failing(g, fd, division):
+            checked.append(division)
+            return ["degree sum 59 != 6n", "a second failure"]
+
+        monkeypatch.setattr(experiments, "invariant_failures", failing)
+        with pytest.raises(BrokenInvariant, match=r"^n=10, seed=12345: degree sum 59 != 6n$"):
+            run_trial(10, 12345, 0)
+        assert checked[0].n == 10  # the trial's division was checked
 
 
 class TestRunGrid:
@@ -182,16 +195,6 @@ class TestHFractionBelow:
         )
         with pytest.raises(NoUsableRows):
             h_fraction_below([failed], 1.0)
-
-
-class TestMembershipFraction:
-    def test_counts_proxy_and_lht_cap(self):
-        records = [
-            synthetic_record(100, lht=3, min_degree=3),   # in
-            synthetic_record(100, lht=3, min_degree=2),   # proxy fails at l=2
-            synthetic_record(100, lht=99, min_degree=3),  # lht cap fails
-        ]
-        assert membership_fraction(records, 2, 10) == pytest.approx(1 / 3)
 
 
 class TestSummarize:

@@ -329,18 +329,18 @@ class TestSampleConnected:
     def test_agrees_with_sample_when_first_draw_connected(self):
         g = sample(5, 3)
         assert faces(g).connected
-        assert sample_connected(5, 3) == g
+        assert sample_connected(5, 3) == (g, faces(g))
 
     def test_skips_disconnected_draw(self):
         # seed 0 at n=3 gives a disconnected sample
         assert not faces(sample(3, 0)).connected
-        g, rejections = sample_connected(3, 0, return_rejections=True)
-        assert rejections >= 1
-        assert faces(g).connected
+        g, fd = sample_connected(3, 0)
+        assert g != sample(3, 0)
+        assert fd == faces(g) and fd.connected
 
     def test_large_sample_connected(self):
-        g = sample_connected(1000, 3)
-        assert faces(g).connected
+        g, fd = sample_connected(1000, 3)
+        assert fd == faces(g) and fd.connected
 
     def test_rejection_budget(self):
         with pytest.raises(MaxRejectionsExceeded):
