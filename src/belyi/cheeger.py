@@ -144,8 +144,8 @@ def build_cusp_cut(cusp: CuspData, n: int, y_factor: float = 1.0) -> CuspCut:
     """
     if n < 3:
         raise ParameterOutOfRange(f"n must be >= 3, got {n}")
-    if y_factor <= 0:
-        raise ParameterOutOfRange(f"y_factor must be positive, got {y_factor}")
+    if not 0 < y_factor < math.inf:
+        raise ParameterOutOfRange(f"y_factor must be positive and finite, got {y_factor}")
     d = cusp.degree
     if d <= degree_threshold(n):
         raise CuspNotInI1(

@@ -8,13 +8,15 @@ The ``identities`` and ``division`` suites of ``verify`` run
 on surfaces from their own seed streams; ``farey`` checks the Farey
 counts and bounds.
 Exit codes: 0 ok, 1 invariant failure (a counterexample, so a bug),
-2 usage or validation error, 3 no large cusp to cut.
+2 usage or validation error (including a length or height that is not
+a positive finite number, rejected while parsing), 3 no large cusp to cut.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +38,14 @@ def _dump_json(obj) -> str:
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type for lengths and height factors: 0 < x < inf, so no nan."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _fail(msg: str) -> int:
@@ -74,8 +84,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_cheeger(args) -> int:
-    if args.y_factor <= 0:
-        return _fail(f"--y-factor must be positive, got {args.y_factor}")
     seed = None
     if args.graph:
         try:
@@ -118,8 +126,6 @@ def _cmd_cheeger(args) -> int:
 
 
 def _cmd_farey(args) -> int:
-    if args.l <= 0:
-        return _fail(f"--l must be positive, got {args.l}")
     try:
         out = {
             "l": args.l,
@@ -153,10 +159,6 @@ def _cmd_grid(args) -> int:
         return _fail("--n-list needs integers >= 3")
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}")
-    if args.y_factor <= 0:
-        return _fail(f"--y-factor must be positive, got {args.y_factor}")
-    if args.s2_l is not None and args.s2_l <= 0:
-        return _fail(f"--s2-l must be positive, got {args.s2_l}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = experiments.run_grid(
@@ -268,11 +270,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="size parameter (with --seed)")
     p.add_argument("--seed", type=int, help="sampling seed (with --n)")
     p.add_argument("--graph", help="graph JSON file, or - for stdin")
-    p.add_argument("--y-factor", type=float, default=1.0, help="cut height multiplier")
+    p.add_argument("--y-factor", type=_positive_finite, default=1.0, help="cut height multiplier")
     p.set_defaults(func=_cmd_cheeger)
 
     p = sub.add_parser("farey", help="subdivision counts and bounds as JSON")
-    p.add_argument("--l", type=float, required=True, help="strip depth parameter")
+    p.add_argument("--l", type=_positive_finite, required=True, help="strip depth parameter")
     p.add_argument("--level", type=int, help="also list the triangles of this level")
     p.set_defaults(func=_cmd_farey)
 
@@ -285,15 +287,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=100, help="number of sampled surfaces")
     p.add_argument("--n", type=int, default=100, help="size parameter for samples")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--y-factor", type=float, default=1.0)
+    p.add_argument("--y-factor", type=_positive_finite, default=1.0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("grid", help="Monte Carlo grid, CSV + JSON summary")
     p.add_argument("--n-list", required=True, help="comma-separated n values")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--y-factor", type=float, default=1.0)
-    p.add_argument("--s2-l", type=float, default=None, help="also record |s2| at this l")
+    p.add_argument("--y-factor", type=_positive_finite, default=1.0)
+    p.add_argument("--s2-l", type=_positive_finite, default=None, help="also record |s2| at this l")
     p.add_argument("--threshold", type=float, default=2.0 / 3.0 + 0.05)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")

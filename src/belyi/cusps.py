@@ -198,9 +198,6 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     cusp of degree <= l, so only the strips of those cusps are developed;
     with none, this agrees with ``has_large_cusps_proxy``.
     Exact for rational ``l`` (ints and floats are converted exactly).
-
-    ``fd`` determines the matching: the edge partner of dart a is the
-    rotation predecessor of a's successor in its face cycle.
     """
     lq = Fraction(l)
     if lq <= 0:
@@ -209,41 +206,32 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     small = [j for j, d in enumerate(fd.degrees) if d <= lq]
     if not small:
         return True
-    total = fd.sum_degrees
-    degree_of = [0] * total
-    successor = [0] * total
-    for cycle in fd.faces:
-        k = len(cycle)
-        for a in cycle:
-            degree_of[a] = k
-        for a, b in zip(cycle, cycle[1:]):
-            successor[a] = b
-        successor[cycle[-1]] = cycle[0]
+    degrees, label, partner = fd.degrees, fd.label, fd.matching
 
-    def partner(a: int) -> int:
-        return rotation(rotation(successor[a]))
+    def degree_of(a: int) -> int:
+        return degrees[label[a] - 1]
 
     for j in small:
         d_j = fd.degrees[j]
         for c in fd.faces[j]:
             # the triangle of corner c has its other corners at the integer
             # lifts t+1 (dart rotation(c)) and t (dart rotation^2(c))
-            if d_j * min(degree_of[rotation(c)], degree_of[rotation(rotation(c))]) <= l2:
+            if d_j * min(degree_of(rotation(c)), degree_of(rotation(rotation(c)))) <= l2:
                 return False
             # stack entries: (entry dart, denominators of the interval ends);
             # the triangle entered through dart a has its mediant corner at
             # rotation^2(a), its right child side at rotation(a) and its
             # left child side at rotation^2(a), as in ``develop_horoball``
-            stack = [(partner(rotation(c)), 1, 1)]
+            stack = [(partner[rotation(c)], 1, 1)]
             while stack:
                 a, left, right = stack.pop()
                 q = left + right
                 if d_j * q * q > l2:
                     continue
-                if d_j * degree_of[rotation(rotation(a))] * q * q <= l2:
+                if d_j * degree_of(rotation(rotation(a))) * q * q <= l2:
                     return False
-                stack.append((partner(rotation(a)), q, right))
-                stack.append((partner(rotation(rotation(a))), left, q))
+                stack.append((partner[rotation(a)], q, right))
+                stack.append((partner[rotation(rotation(a))], left, q))
     return True
 
 

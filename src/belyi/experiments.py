@@ -170,8 +170,7 @@ def run_trial(
         h_upper = division.h_upper
         if s2_l is not None:
             partition = partition_cusps(fd, n)
-            _, s2 = classify_segments(g, fd, partition, s2_l)
-            s2_size = len(s2)
+            s2_size = len(classify_segments(g, fd, partition, s2_l))
     except DisconnectedSurface:
         status = "disconnected"
     except EmptyI1:

@@ -269,14 +269,14 @@ def classify_segments(
     fd: FaceDecomposition,
     partition: CuspPartition,
     l,
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Split the darts of large cusps by horoball contact.
+) -> frozenset[int]:
+    """The darts of large cusps in horoball contact (the set s2).
 
-    A dart goes to s2 when its triangle lies in the footprint of some
-    cusp of degree <= l, else to s1.  Triangle granularity makes this a
-    conservative overcount of actual trapezium contact, but each small
-    cusp still contributes at most 3 * d_j * n_bound(l) <= m_bound(l)
-    darts, so |s2| <= m_bound(l) * lht.
+    A dart of a cusp in ``partition.i1`` is in s2 when its triangle lies
+    in the footprint of some cusp of degree <= l.  Triangle granularity
+    makes this a conservative overcount of actual trapezium contact, but
+    each small cusp still contributes at most 3 * d_j * n_bound(l) <=
+    m_bound(l) darts, so |s2| <= m_bound(l) * lht.
     """
     lq = Fraction(l)
     if lq <= 0:
@@ -285,7 +285,6 @@ def classify_segments(
     for j, d in enumerate(fd.degrees):
         if d <= lq:
             hot.update(horoball_footprint(g, fd, j, l))
-    s_all = [dart for i in partition.i1 for dart in fd.faces[i]]
-    s2 = frozenset(dart for dart in s_all if dart // 3 in hot)
-    s1 = frozenset(s_all) - s2
-    return s1, s2
+    return frozenset(
+        d for t in hot for d in (3 * t, 3 * t + 1, 3 * t + 2) if fd.label[d] - 1 in partition.i1
+    )

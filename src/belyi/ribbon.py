@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Sized
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -152,6 +152,10 @@ class FaceDecomposition:
     ``faces`` are the orbits of the face permutation, each listed in
     walk order starting from its smallest dart; ``degrees`` are the
     orbit lengths.  ``genus`` is defined only for connected graphs.
+    ``label[d]`` is the 1-based face of dart ``d`` and ``matching`` is
+    the traced graph's matching (the same object, not a copy), so later
+    layers need not rebuild either; both are left out of ``==``,
+    ``hash`` and ``repr``.
     """
 
     faces: tuple[tuple[int, ...], ...]
@@ -159,6 +163,8 @@ class FaceDecomposition:
     lht: int
     genus: int | None
     connected: bool
+    label: list[int] = field(repr=False, compare=False)
+    matching: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def min_degree(self) -> int:
@@ -324,4 +330,4 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
         genus = 1 + (g.n - lht) // 2
         if genus < 0:
             raise BrokenInvariant(f"genus {genus} < 0 (n = {g.n}, lht = {lht})")
-    return FaceDecomposition(tuple(orbits), degrees, lht, genus, connected)
+    return FaceDecomposition(tuple(orbits), degrees, lht, genus, connected, label, m)

@@ -281,7 +281,7 @@ class TestGrid:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("l", ["0", "-1"])
+    @pytest.mark.parametrize("l", ["0", "-1", "inf", "nan"])
     def test_nonpositive_s2_l_exits_2_before_running(self, capsys, tmp_path, l):
         out_dir = tmp_path / "d"
         code, _, err = run_cli(
@@ -299,6 +299,27 @@ class TestGrid:
         )
         assert code == 1
         assert "boom" in err and "n=10" in err
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cheeger", "--n", "1000", "--seed", "1", "--y-factor"),
+            ("verify", "--seeds", "1", "--y-factor"),
+            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--y-factor"),
+            ("farey", "--l"),
+        ],
+    )
+    def test_rejected_while_parsing(self, capsys, tmp_path, argv, value):
+        out_dir = tmp_path / "d"
+        argv = [a.format(out=out_dir) for a in argv]
+        code, out, err = run_cli(capsys, *argv, value)
+        assert code == 2
+        assert out == ""
+        assert argv[-1] in err
+        assert not out_dir.exists()
 
 
 class TestEntryPoint:

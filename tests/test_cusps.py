@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from belyi.cusps import (
@@ -154,6 +157,8 @@ class TestPartition:
             lht=2,
             genus=None,
             connected=False,
+            label=(),
+            matching=(),
         )
         part = partition_cusps(fd, 10**4)
         assert part.i1 == {0}
@@ -179,12 +184,12 @@ class TestPartition:
         threshold = degree_threshold(n)
         low = int(threshold)
         for d in (low, low + 1, low + 10, 6 * n):
-            fd = FaceDecomposition(((0,) * d,), (d,), 1, None, False)
+            fd = FaceDecomposition(((0,) * d,), (d,), 1, None, False, (), ())
             part = partition_cusps(fd, n)
             if d > threshold:
                 assert part.i1 == {0}
         # strictly above is required
-        fd = FaceDecomposition(((0,) * low,), (low,), 1, None, False)
+        fd = FaceDecomposition(((0,) * low,), (low,), 1, None, False, (), ())
         assert 0 in partition_cusps(fd, n).i2
 
     def test_n_too_small(self):
@@ -245,6 +250,22 @@ class TestLargeCusps:
         for l in (0, -1):
             with pytest.raises(ValueError):
                 has_large_cusps(fd, l)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        darts=st.integers(1, 6).flatmap(lambda n: st.permutations(range(6 * n))),
+        l=st.fractions(min_value=Fraction(1, 2), max_value=8, max_denominator=4),
+    )
+    def test_property_labels_and_proxy(self, darts, l):
+        g = from_matching(len(darts) // 6, list(zip(darts[0::2], darts[1::2])))
+        fd = faces(g)
+        assert fd.matching is g.matching
+        assert len(fd.label) == g.num_darts
+        assert sorted(d for cycle in fd.faces for d in cycle) == list(range(g.num_darts))
+        for i, cycle in enumerate(fd.faces):
+            assert all(fd.label[d] == i + 1 for d in cycle)
+        if has_large_cusps_proxy(fd, l):
+            assert has_large_cusps(fd, l)
 
 
 class TestLOfR:

@@ -313,23 +313,37 @@ class TestLargeCuspsAgainstDevelopment:
         assert deep_only > 0
 
 
+def s2_by_definition(g, fd, partition, l):
+    """The darts of large cusps whose triangle lies in a small cusp's footprint."""
+    hot = set()
+    for j, degree in enumerate(fd.degrees):
+        if degree <= l:
+            hot |= horoball_footprint(g, fd, j, l)
+    return {d for i in partition.i1 for d in fd.faces[i] if d // 3 in hot}
+
+
 class TestClassifySegments:
     def test_all_s1_when_no_small_cusps(self):
         g = from_matching(1, THETA_TORUS)
         fd = faces(g)
         partition = CuspPartition(i1=frozenset({0}), i2=frozenset(), threshold=1.0)
-        s1, s2 = classify_segments(g, fd, partition, 1)
-        assert s1 == frozenset(range(6))
-        assert s2 == frozenset()
+        assert classify_segments(g, fd, partition, 1) == frozenset()
+        # at l = 6 the only cusp is small, and its footprint covers both triangles
+        assert classify_segments(g, fd, partition, 6) == frozenset(range(6))
 
     def test_partition_of_large_cusp_darts(self):
-        g = sample(100, 12)
-        fd = faces(g)
-        partition = partition_cusps(fd, 100)
-        s1, s2 = classify_segments(g, fd, partition, 4)
-        expected = {d for i in partition.i1 for d in fd.faces[i]}
-        assert s1 | s2 == expected
-        assert s1 & s2 == frozenset()
+        nonempty = 0
+        for n in (3, 10, 100):
+            for s in range(10):
+                g = sample(n, derive_seed(12, n, s))
+                fd = faces(g)
+                partition = partition_cusps(fd, n)
+                for l in (2, 4, 5):
+                    s2 = classify_segments(g, fd, partition, l)
+                    assert isinstance(s2, frozenset)
+                    assert s2 == s2_by_definition(g, fd, partition, l)
+                    nonempty += bool(s2)
+        assert nonempty > 0
 
     def test_s2_bound(self):
         for s in range(20):
@@ -338,5 +352,5 @@ class TestClassifySegments:
             partition = partition_cusps(fd, 100)
             if not partition.i1:
                 continue
-            _, s2 = classify_segments(g, fd, partition, 4)
+            s2 = classify_segments(g, fd, partition, 4)
             assert len(s2) <= m_bound(4) * fd.lht

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -260,6 +261,24 @@ class TestFaces:
                 assert fd.genus >= 0
             else:
                 assert fd.genus is None
+
+    def test_kept_label_and_matching(self):
+        for n in (1, 3, 25):
+            for seed in range(10):
+                g = sample(n, derive_seed(53, n, seed))
+                fd = faces(g)
+                assert fd.matching is g.matching
+                assert len(fd.label) == g.num_darts
+                for i, cycle in enumerate(fd.faces):
+                    assert all(fd.label[d] - 1 == i for d in cycle)
+
+    def test_kept_fields_outside_equality_and_repr(self):
+        fd = faces(sample(10, 1))
+        bare = dataclasses.replace(fd, label=(), matching=())
+        assert bare == fd
+        assert hash(bare) == hash(fd)
+        assert repr(bare) == repr(fd)
+        assert "label" not in repr(fd) and "matching" not in repr(fd)
 
     def test_cycles_anchored_at_minimal_dart(self):
         fd = faces(sample(10, 3))
