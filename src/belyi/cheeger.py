@@ -100,14 +100,13 @@ class Division:
 
     Cusp sides of large cusps carry fixed labels (side 1 A, side 2 B),
     small cusps carry B, and ``triangle_labels[v]`` is the majority
-    label of triangle v.  ``boundary_segments`` holds the minority
-    darts; the full boundary is those unit segments plus the cut
-    curves.
+    label of triangle v.  ``cuts`` follow the sorted large cusps of
+    ``partition``.  ``boundary_segments`` holds the minority darts; the
+    full boundary is those unit segments plus the cut curves.
     """
 
     n: int
-    i1: tuple[int, ...]
-    i2: tuple[int, ...]
+    partition: CuspPartition
     cuts: tuple[CuspCut, ...]
     triangle_labels: tuple[str, ...]
     boundary_segments: frozenset[int]
@@ -118,7 +117,7 @@ class Division:
 
     @property
     def num_i1(self) -> int:
-        return len(self.i1)
+        return len(self.partition.i1)
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,7 @@ def assign_labels(
             if votes == 1:
                 boundary.append(base + (1 if a1 == 1 else (0 if a0 == 1 else 2)))
 
-    i1_sorted = tuple(sorted(partition.i1))
-    cut_list = tuple(cuts[i] for i in i1_sorted)
+    cut_list = tuple(cuts[i] for i in sorted(partition.i1))
     eta_total = math.fsum(c.eta_length for c in cut_list)
     boundary_length = float(len(boundary)) + eta_total
 
@@ -226,8 +224,7 @@ def assign_labels(
 
     return Division(
         n=g.n,
-        i1=i1_sorted,
-        i2=tuple(sorted(partition.i2)),
+        partition=partition,
         cuts=cut_list,
         triangle_labels=tuple(labels),
         boundary_segments=frozenset(boundary),
@@ -254,8 +251,6 @@ def cheeger_upper_bound(
     if not fd.connected:
         raise DisconnectedSurface("the sampled graph is disconnected")
     partition = partition_cusps(fd, n)
-    if not partition.i1:
-        raise EmptyI1("no cusp exceeds the degree threshold")
     cuts = {
         i: build_cusp_cut(CuspData(i, fd.degrees[i], fd.faces[i]), n, y_factor)
         for i in partition.i1
@@ -357,8 +352,8 @@ def invariant_failures(
 
     if not math.isclose(division.area_a + division.area_b, surface_area(n), abs_tol=1e-9):
         failures.append("division areas do not conserve total area")
-    mass_i1 = sum(fd.degrees[i] for i in division.i1)
-    mass_i2 = sum(fd.degrees[i] for i in division.i2)
+    mass_i1 = sum(fd.degrees[i] for i in division.partition.i1)
+    mass_i2 = sum(fd.degrees[i] for i in division.partition.i2)
     if mass_i1 + mass_i2 != 6 * n:
         failures.append("partition does not cover the degrees")
     # large cusps hold all degree mass except at most lht small cusps of

@@ -41,7 +41,7 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _positive_finite(text: str) -> float:
-    """argparse type for lengths and height factors: 0 < x < inf, so no nan."""
+    """argparse type for lengths, height factors and thresholds: 0 < x < inf, so no nan."""
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--y-factor", type=_positive_finite, default=1.0)
     p.add_argument("--s2-l", type=_positive_finite, default=None, help="also record |s2| at this l")
-    p.add_argument("--threshold", type=float, default=2.0 / 3.0 + 0.05)
+    p.add_argument("--threshold", type=_positive_finite, default=2.0 / 3.0 + 0.05)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_grid)

@@ -13,8 +13,10 @@ area exactly d.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from .ribbon import FaceDecomposition, rotation
 
@@ -36,6 +38,7 @@ __all__ = [
     "partition_cusps",
     "has_large_cusps_proxy",
     "has_large_cusps",
+    "develop_strip",
     "l_of_r",
     "cusps_from_faces",
 ]
@@ -191,7 +194,7 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     cusp j the length-l horoball of cusp k at a lift p/q has diameter
     l / (d_k q^2), so it misses {y >= d_j/l} iff d_j * d_k * q^2 > l^2.
     The q = 1 lifts are the other corners of the triangles at cusp j;
-    lifts with q >= 2 are the mediants of the strip's development, whose
+    lifts with q >= 2 are the mediant corners of ``develop_strip``, whose
     denominators grow with depth, so the descent stops once
     d_j * q^2 > l^2.  The test is symmetric in j and k (q is fixed by the
     distance between their canonical horoballs) and a failing pair has a
@@ -206,33 +209,59 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     small = [j for j, d in enumerate(fd.degrees) if d <= lq]
     if not small:
         return True
-    degrees, label, partner = fd.degrees, fd.label, fd.matching
+    degrees, label = fd.degrees, fd.label
 
     def degree_of(a: int) -> int:
         return degrees[label[a] - 1]
 
     for j in small:
-        d_j = fd.degrees[j]
+        d_j = degrees[j]
         for c in fd.faces[j]:
             # the triangle of corner c has its other corners at the integer
             # lifts t+1 (dart rotation(c)) and t (dart rotation^2(c))
             if d_j * min(degree_of(rotation(c)), degree_of(rotation(rotation(c)))) <= l2:
                 return False
-            # stack entries: (entry dart, denominators of the interval ends);
-            # the triangle entered through dart a has its mediant corner at
-            # rotation^2(a), its right child side at rotation(a) and its
-            # left child side at rotation^2(a), as in ``develop_horoball``
-            stack = [(partner[rotation(c)], 1, 1)]
-            while stack:
-                a, left, right = stack.pop()
-                q = left + right
-                if d_j * q * q > l2:
-                    continue
-                if d_j * degree_of(rotation(rotation(a))) * q * q <= l2:
-                    return False
-                stack.append((partner[rotation(a)], q, right))
-                stack.append((partner[rotation(rotation(a))], left, q))
+        for a, p, r, _ in develop_strip(fd, j, lambda p, r: d_j * (p[1] + r[1]) ** 2 <= l2):
+            q = p[1] + r[1]
+            if d_j * degree_of(rotation(rotation(a))) * q * q <= l2:
+                return False
     return True
+
+
+def develop_strip(
+    fd: FaceDecomposition, j: int, enter: Callable[[tuple, tuple], bool]
+) -> Iterator[tuple[int, tuple, tuple, int]]:
+    """Breadth-first development of cusp j's strip below its top row.
+
+    The width-d strip of a degree-d cusp has one top-row triangle over
+    each [t, t+1]: corner dart c = fd.faces[j][t] at the cusp, rotation(c)
+    at t+1 and rotation(rotation(c)) at t, so the right side of column t
+    and the left side of column t+1 are one edge (the orientation-
+    preserving convention).  Crossing its bottom side enters dart
+    matching[rotation(c)] over (t, t+1).  A triangle entered through dart
+    a over (p, r) has corners a at p, rotation(a) at r and
+    rotation(rotation(a)) at the mediant m; its children (m, r) and
+    (p, m) are entered through matching[rotation(a)] and
+    matching[rotation(rotation(a))].
+
+    Yields (a, p, r, depth), depth 1 under the top row, with p and r as
+    (numerator, denominator) pairs.  A triangle is entered only when
+    ``enter(p, r)`` holds, so ``enter`` must fail for large denominators.
+    """
+    matching = fd.matching
+    queue: deque[tuple[int, tuple, tuple, int]] = deque()
+    for t, c in enumerate(fd.faces[j]):
+        p, r = (t, 1), (t + 1, 1)
+        if enter(p, r):
+            queue.append((matching[rotation(c)], p, r, 1))
+    while queue:
+        a, p, r, depth = item = queue.popleft()
+        yield item
+        m = (p[0] + r[0], p[1] + r[1])
+        if enter(m, r):
+            queue.append((matching[rotation(a)], m, r, depth + 1))
+        if enter(p, m):
+            queue.append((matching[rotation(rotation(a))], p, m, depth + 1))
 
 
 def l_of_r(r: float) -> float:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cheeger import DisconnectedSurface, EmptyI1, cheeger_upper_bound, invariant_failures
-from .cusps import partition_cusps
 from .farey import classify_segments
 from .ribbon import BrokenInvariant, derive_seed, faces, sample
 
@@ -169,8 +168,7 @@ def run_trial(
         area_b = division.area_b
         h_upper = division.h_upper
         if s2_l is not None:
-            partition = partition_cusps(fd, n)
-            s2_size = len(classify_segments(g, fd, partition, s2_l))
+            s2_size = len(classify_segments(g, fd, division.partition, s2_l))
     except DisconnectedSurface:
         status = "disconnected"
     except EmptyI1:
@@ -294,9 +292,7 @@ def summarize(
         raise NoUsableRows(f"no records at n={n}")
     usable = [rec for rec in rows if rec.h_upper is not None]
     lhts = [rec.lht for rec in rows]
-    fraction = None
-    if usable:
-        fraction = sum(1 for rec in usable if rec.h_upper < h_threshold) / len(usable)
+    fraction = h_fraction_below(usable, h_threshold) if usable else None
     return SummaryStats(
         n=n,
         trials=len(rows),

@@ -7,23 +7,23 @@ triangle under every gap of the level-m vertex row.  Level m holds
 2^(m-1) triangles and the gaps of row m are at most 1/(m+1), so only
 boundedly many triangles can reach into a horizontal strip {y > 1/l}.
 
-The same subdivision drives a developing map: unrolling a cusp of
-degree d into its width-d strip puts one ideal triangle under each
-integer interval of the top row, and crossing a side replaces an
-interval endpoint by the mediant.  Tracking which surface triangle each
-developed copy comes from yields the set of triangles met by a cusp's
-depth-l horoball.  All vertex coordinates are exact rationals.
+The same subdivision drives a developing map (``cusps.develop_strip``):
+unrolling a cusp of degree d into its width-d strip puts one ideal
+triangle under each integer interval of the top row, and crossing a
+side replaces an interval endpoint by the mediant.  Tracking which
+surface triangle each developed copy comes from yields the set of
+triangles met by a cusp's depth-l horoball.  All vertex coordinates are
+exact rationals.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cusps import CuspPartition
-from .ribbon import FaceDecomposition, RibbonGraph, rotation
+from .cusps import CuspPartition, develop_strip
+from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
     "OutOfOrder",
@@ -168,16 +168,9 @@ def count_intersecting(l, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
     if deepest > level_cap:
         raise LevelCapExceeded(f"needed level {deepest} exceeds cap {level_cap}")
     count = 0
-    row = [Fraction(0), Fraction(1)]
-    for _ in range(deepest):
-        nxt = []
-        for a, b in zip(row, row[1:]):
-            if (b - a) * lq > 2:
-                count += 1
-            nxt.append(a)
-            nxt.append(mediant(a, b))
-        nxt.append(row[-1])
-        row = nxt
+    for m in range(deepest):
+        row = vertex_row(m, level_cap)
+        count += sum((b - a) * lq > 2 for a, b in zip(row, row[1:]))
     return count
 
 
@@ -206,15 +199,11 @@ def develop_horoball(
 ) -> list[DevelopedTriangle]:
     """Developed triangles of cusp j's strip meeting the horoball {y > d_j/l}.
 
-    The strip of a degree-d cusp has one top-row triangle per dart of
-    the face cycle; each carries the corner dart of that walk position.
-    A triangle entered through the side indexed by dart ``a`` has its
-    remaining sides indexed by rotation(a) on the right child interval
-    and rotation(rotation(a)) on the left one (the orientation-
-    preserving convention; see the wrap-around of the top row, where
-    the right side of column t and the left side of column t+1 must be
-    the same edge).  Descent stops as soon as a child's apex height
-    drops to d_j/l, which also bounds the depth.
+    The top row comes first, one triangle per dart of the face cycle
+    carrying the corner dart of that walk position; then, in the order
+    of ``cusps.develop_strip``, every triangle below it whose apex height
+    1/(2 p_den r_den) exceeds d_j/l.  Heights fall with depth, so this
+    also bounds the depth.
 
     For d_j > l the horoball stays above the canonical loop and the
     development is empty.
@@ -225,29 +214,17 @@ def develop_horoball(
     d_j = fd.degrees[j]
     if d_j > lq:
         return []
-    height = Fraction(d_j) / lq
     if depth_cap is None:
         depth_cap = int(lq // 2) + 2
-    m = g.matching
-    out: list[DevelopedTriangle] = []
-    queue: deque[tuple[int, Fraction, Fraction, int]] = deque()
-    for t, corner in enumerate(fd.faces[j]):
-        out.append(
-            DevelopedTriangle(corner // 3, None, (Fraction(t), math.inf, Fraction(t + 1)))
-        )
-        if Fraction(1, 2) > height:
-            # cross the bottom side of the top-row triangle
-            queue.append((m[rotation(corner)], Fraction(t), Fraction(t + 1), 1))
-    while queue:
-        a, p, q, depth = queue.popleft()
+    out = [
+        DevelopedTriangle(corner // 3, None, (Fraction(t), math.inf, Fraction(t + 1)))
+        for t, corner in enumerate(fd.faces[j])
+    ]
+    for a, p, r, depth in develop_strip(fd, j, lambda p, r: 2 * d_j * p[1] * r[1] < lq):
         if depth > depth_cap:
             raise DepthCapExceeded(f"development passed depth {depth_cap} for cusp {j}")
-        mid = Fraction(p.numerator + q.numerator, p.denominator + q.denominator)
-        out.append(DevelopedTriangle(a // 3, a, (p, mid, q)))
-        if q - mid > 2 * height:
-            queue.append((m[rotation(a)], mid, q, depth + 1))
-        if mid - p > 2 * height:
-            queue.append((m[rotation(rotation(a))], p, mid, depth + 1))
+        mid = Fraction(p[0] + r[0], p[1] + r[1])
+        out.append(DevelopedTriangle(a // 3, a, (Fraction(*p), mid, Fraction(*r))))
     return out
 
 

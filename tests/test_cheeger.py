@@ -171,7 +171,7 @@ class TestCheegerUpperBound:
                 allowance = (
                     2 * n * (math.pi - 3)
                     + math.fsum(abs(c.side2_area - c.side1_area) for c in division.cuts)
-                    + sum(fd.degrees[i] for i in division.i2)
+                    + sum(fd.degrees[i] for i in division.partition.i2)
                 )
                 assert abs(division.area_a - division.area_b) <= allowance + 1e-9
                 checked += 1

@@ -310,6 +310,7 @@ class TestNonFiniteNumbers:
             ("verify", "--seeds", "1", "--y-factor"),
             ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--y-factor"),
             ("farey", "--l"),
+            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--threshold"),
         ],
     )
     def test_rejected_while_parsing(self, capsys, tmp_path, argv, value):

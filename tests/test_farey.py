@@ -248,7 +248,7 @@ class TestHoroballFootprint:
 def develop_strips(g, fd, l):
     """Develop every cusp strip down to mediant denominator l.
 
-    Uses the side convention of ``develop_horoball``: a triangle entered
+    Uses the side convention of ``cusps.develop_strip``: a triangle entered
     through dart a over (p, r) has corners a at p, rotation(a) at r and
     rotation^2(a) at the mediant.  Returns the binding lifts (j, x, k):
     cusp k at x in cusp j's strip with a length-l horoball meeting
@@ -304,11 +304,19 @@ class TestLargeCuspsAgainstDevelopment:
                 if binding and min(x.denominator for _, x, _ in binding) >= 2:
                     deep_only += 1
                 # the development reproduces develop_horoball's triangles
+                developed = set()
                 for j, d in enumerate(fd.degrees):
                     if d <= l:
                         for dt in develop_horoball(g, fd, j, l):
                             if dt.entry_edge is not None:
                                 assert (j, dt.entry_edge, dt.vertices) in entered
+                                developed.add((j, dt.entry_edge, dt.vertices))
+                # ... and all of them: every triangle with apex height above d_j/l
+                assert developed == {
+                    (j, a, (p, mid, r))
+                    for j, a, (p, mid, r) in entered
+                    if (r - p) * l > 2 * fd.degrees[j]
+                }
         # some surfaces fail only through lifts with q >= 2
         assert deep_only > 0
 
