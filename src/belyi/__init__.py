@@ -6,7 +6,6 @@ from .cheeger import (
     CuspCut,
     Division,
     EmptyI1,
-    assign_labels,
     build_cusp_cut,
     certificate,
     cheeger_upper_bound,
@@ -14,20 +13,12 @@ from .cheeger import (
     sum_degrees_i1_bound_check,
 )
 from .cusps import (
-    CuspConstants,
-    CuspData,
     CuspPartition,
-    cusps_from_faces,
     has_large_cusps,
     has_large_cusps_proxy,
-    horocycle_length,
-    l_of_r,
     partition_cusps,
     small_triangle_area,
-    strip_area,
     surface_area,
-    trapezium_area,
-    vertical_length,
 )
 from .experiments import (
     SummaryStats,

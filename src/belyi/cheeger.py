@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .cusps import (
-    CuspData,
     CuspPartition,
     degree_threshold,
     has_large_cusps,
@@ -33,7 +31,6 @@ from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
     "CuspNotInI1",
-    "MissingCut",
     "EmptyI1",
     "DisconnectedSurface",
     "ParameterOutOfRange",
@@ -42,7 +39,6 @@ __all__ = [
     "Division",
     "Certificate",
     "build_cusp_cut",
-    "assign_labels",
     "cheeger_upper_bound",
     "certificate",
     "in_f_star",
@@ -53,10 +49,6 @@ __all__ = [
 
 class CuspNotInI1(ValueError):
     """Cut construction is defined only for cusps above the degree threshold."""
-
-
-class MissingCut(ValueError):
-    """A large cusp has no cut (or a cut was supplied for a small cusp)."""
 
 
 class EmptyI1(RuntimeError):
@@ -135,21 +127,21 @@ class Certificate:
     prob_floor: float
 
 
-def build_cusp_cut(cusp: CuspData, n: int, y_factor: float = 1.0) -> CuspCut:
-    """Cut curve for a large cusp, split at k = floor(d/2) segments.
+def build_cusp_cut(face_id: int, d: int, n: int, y_factor: float = 1.0) -> CuspCut:
+    """Cut curve for the large cusp ``face_id`` of degree ``d``, split at
+    k = floor(d/2) segments.
 
     The cut height is y = y_factor * n * d, giving a curve of length
-    2*log(y) + k/y <= 2*log(n*d*y_factor) + 1.
+    2*log(y) + k/y <= 2*log(n*d*y_factor) + 1: two verticals of length
+    log(y) and a width-k horocyclic arc at height y.  Side 1, the k-wide
+    box between heights 1 and y, has area k * (1 - 1/y).
     """
     if n < 3:
         raise ParameterOutOfRange(f"n must be >= 3, got {n}")
     if not 0 < y_factor < math.inf:
         raise ParameterOutOfRange(f"y_factor must be positive and finite, got {y_factor}")
-    d = cusp.degree
     if d <= degree_threshold(n):
-        raise CuspNotInI1(
-            f"cusp {cusp.face_id} has degree {d} <= threshold {degree_threshold(n)}"
-        )
+        raise CuspNotInI1(f"cusp {face_id} has degree {d} <= threshold {degree_threshold(n)}")
     y = y_factor * n * d
     if y <= 1.0:
         raise ParameterOutOfRange(f"cut height y={y} must exceed the canonical loop height 1")
@@ -157,38 +149,39 @@ def build_cusp_cut(cusp: CuspData, n: int, y_factor: float = 1.0) -> CuspCut:
     eta_length = 2.0 * math.log(y) + k / y
     side1 = k * (1.0 - 1.0 / y)
     side2 = d - side1  # equals (d-k)*(1 - 1/y) + d/y; this form conserves exactly
-    return CuspCut(cusp.face_id, k, y, eta_length, side1, side2)
+    return CuspCut(face_id, k, y, eta_length, side1, side2)
 
 
-def assign_labels(
+def cheeger_upper_bound(
     g: RibbonGraph,
     fd: FaceDecomposition,
-    partition: CuspPartition,
-    cuts: Mapping[int, CuspCut],
+    n: int,
+    y_factor: float = 1.0,
 ) -> Division:
-    """Label every domain and collect the division boundary.
+    """Partition the cusps, cut the large ones, label every triangle and
+    measure the division.
 
     Darts in the first k walk positions of a large-cusp face (the face
     cycle is anchored at its minimal dart) border side 1 and carry A;
     all other darts carry B.  A triangle takes the majority label of
     its three darts, so it has either no minority dart or exactly one,
-    and those minority darts are the unit boundary segments.
+    and those minority darts are the unit boundary segments.  The
+    division is an explicit separating set, so ``h_upper`` is a true
+    upper bound for the Cheeger constant of the surface.
     """
+    if n != g.n:
+        raise ValueError(f"n={n} does not match the graph's n={g.n}")
+    if not fd.connected:
+        raise DisconnectedSurface("the sampled graph is disconnected")
+    partition = partition_cusps(fd, n)
     if not partition.i1:
         raise EmptyI1("no cusp exceeds the degree threshold")
-    missing = partition.i1 - set(cuts)
-    if missing:
-        raise MissingCut(f"no cut for cusp {min(missing)}")
-    extra = set(cuts) - partition.i1
-    if extra:
-        raise CuspNotInI1(f"cut supplied for small cusp {min(extra)}")
+    cuts = tuple(build_cusp_cut(i, fd.degrees[i], n, y_factor) for i in sorted(partition.i1))
 
-    total = g.num_darts
-    side_a = bytearray(total)  # 1 where the dart borders a side-1 arc
-    for i in partition.i1:
-        cycle = fd.faces[i]
-        k = cuts[i].k
-        for t in range(k):
+    side_a = bytearray(g.num_darts)  # 1 where the dart borders a side-1 arc
+    for cut in cuts:
+        cycle = fd.faces[cut.face_id]
+        for t in range(cut.k):
             side_a[cycle[t]] = 1
 
     labels: list[str] = []
@@ -206,56 +199,29 @@ def assign_labels(
             if votes == 1:
                 boundary.append(base + (1 if a1 == 1 else (0 if a0 == 1 else 2)))
 
-    cut_list = tuple(cuts[i] for i in sorted(partition.i1))
-    eta_total = math.fsum(c.eta_length for c in cut_list)
-    boundary_length = float(len(boundary)) + eta_total
-
-    tri_area = math.pi - 3.0
+    boundary_length = float(len(boundary)) + math.fsum(c.eta_length for c in cuts)
+    tri_area = small_triangle_area()
     num_a_triangles = labels.count("A")
-    area_a = math.fsum(c.side1_area for c in cut_list) + tri_area * num_a_triangles
+    area_a = math.fsum(c.side1_area for c in cuts) + tri_area * num_a_triangles
     area_b = (
-        math.fsum(c.side2_area for c in cut_list)
+        math.fsum(c.side2_area for c in cuts)
         + math.fsum(fd.degrees[i] for i in partition.i2)
         + tri_area * (g.num_vertices - num_a_triangles)
     )
     if not (area_a > 0 and area_b > 0):
         raise ParameterOutOfRange("both sides of the division must have positive area")
-    h_upper = boundary_length / min(area_a, area_b)
 
     return Division(
         n=g.n,
         partition=partition,
-        cuts=cut_list,
+        cuts=cuts,
         triangle_labels=tuple(labels),
         boundary_segments=frozenset(boundary),
         boundary_length=boundary_length,
         area_a=area_a,
         area_b=area_b,
-        h_upper=h_upper,
+        h_upper=boundary_length / min(area_a, area_b),
     )
-
-
-def cheeger_upper_bound(
-    g: RibbonGraph,
-    fd: FaceDecomposition,
-    n: int,
-    y_factor: float = 1.0,
-) -> Division:
-    """Full pipeline: partition cusps, cut the large ones, label, measure.
-
-    The returned division is an explicit separating set, so ``h_upper``
-    is a true upper bound for the Cheeger constant of the surface.
-    """
-    if n != g.n:
-        raise ValueError(f"n={n} does not match the graph's n={g.n}")
-    if not fd.connected:
-        raise DisconnectedSurface("the sampled graph is disconnected")
-    partition = partition_cusps(fd, n)
-    cuts = {
-        i: build_cusp_cut(CuspData(i, fd.degrees[i], fd.faces[i]), n, y_factor)
-        for i in partition.i1
-    }
-    return assign_labels(g, fd, partition, cuts)
 
 
 def certificate(epsilon: float, c: float, l: float, n: int) -> Certificate:

@@ -15,6 +15,7 @@ a positive finite number, rejected while parsing), 3 no large cusp to cut.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -170,21 +171,10 @@ def _cmd_grid(args) -> int:
         s2_l=args.s2_l,
         workers=args.workers,
     )
-    summary = []
-    for n in n_values:
-        stats = experiments.summarize(records, n, h_threshold=args.threshold)
-        summary.append(
-            {
-                "n": stats.n,
-                "trials": stats.trials,
-                "usable": stats.usable,
-                "excluded": stats.excluded,
-                "mean_lht": stats.mean_lht,
-                "var_lht": stats.var_lht,
-                "h_threshold": stats.h_threshold,
-                "fraction_h_below": stats.fraction_h_below,
-            }
-        )
+    summary = [
+        dataclasses.asdict(experiments.summarize(records, n, h_threshold=args.threshold))
+        for n in n_values
+    ]
     (out_dir / "summary.json").write_text(_dump_json(summary) + "\n")
     print(f"wrote {len(records)} rows to {out_dir / 'trials.csv'}")
     return EXIT_OK
@@ -296,7 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--y-factor", type=_positive_finite, default=1.0)
     p.add_argument("--s2-l", type=_positive_finite, default=None, help="also record |s2| at this l")
-    p.add_argument("--threshold", type=_positive_finite, default=2.0 / 3.0 + 0.05)
+    p.add_argument(
+        "--threshold", type=_positive_finite, default=experiments.DEFAULT_H_THRESHOLD
+    )
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_grid)

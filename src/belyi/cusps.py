@@ -1,4 +1,5 @@
-"""Closed-form lengths and areas for the glued-triangle surface metric.
+"""Cusps of the glued-triangle surface: their areas, the large/small
+partition, the large-cusp (embedded horoball) test and the strip walker.
 
 All quantities live in the complete hyperbolic metric of the punctured
 surface built from ideal triangles, where everything has an exact upper
@@ -7,7 +8,10 @@ a has length w/a, the vertical segment from height a to b has length
 log(b/a), and the unit-width strip between heights a and b has area
 1/a - 1/b.  In the width-d strip of a degree-d cusp the canonical
 horocycle loop sits at height 1, so the cusp neighbourhood above it has
-area exactly d.
+area exactly d, and the part of a unit column between it and the
+length-l horocycle (height d/l, for d > l) has area 1 - l/d.  A collar
+of radius r pairs with the horocycle length 2*pi / log((e^r + 1) / e^(r-1)),
+which increases to 2*pi.
 """
 
 from __future__ import annotations
@@ -21,60 +25,19 @@ from typing import Callable, Iterator
 from .ribbon import FaceDecomposition, rotation
 
 __all__ = [
-    "NonpositiveHeight",
-    "InvalidInterval",
-    "DegreeNotExceedingL",
     "NTooSmall",
-    "NonpositiveR",
-    "CuspData",
     "CuspPartition",
-    "CuspConstants",
-    "horocycle_length",
-    "vertical_length",
-    "strip_area",
-    "trapezium_area",
     "surface_area",
     "small_triangle_area",
     "partition_cusps",
     "has_large_cusps_proxy",
     "has_large_cusps",
     "develop_strip",
-    "l_of_r",
-    "cusps_from_faces",
 ]
-
-
-class NonpositiveHeight(ValueError):
-    """Horocycle height must be positive."""
-
-
-class InvalidInterval(ValueError):
-    """Height interval must satisfy 0 < a <= b (strict for areas)."""
-
-
-class DegreeNotExceedingL(ValueError):
-    """Trapezium area needs cusp degree d > horocycle length l > 0."""
 
 
 class NTooSmall(ValueError):
     """The degree threshold n / (log n)^2 needs n >= 3."""
-
-
-class NonpositiveR(ValueError):
-    """Collar radius must be positive."""
-
-
-@dataclass(frozen=True)
-class CuspData:
-    """One cusp: its face id, degree, and dart cycle in walk order."""
-
-    face_id: int
-    degree: int
-    darts: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.degree != len(self.darts):
-            raise ValueError("degree must equal the length of the dart cycle")
 
 
 @dataclass(frozen=True)
@@ -84,58 +47,6 @@ class CuspPartition:
     i1: frozenset[int]
     i2: frozenset[int]
     threshold: float
-
-
-@dataclass(frozen=True)
-class CuspConstants:
-    """A horocycle length l and collar radius r tied by ``l_of_r``."""
-
-    l: float
-    r: float
-
-    def __post_init__(self):
-        expected = l_of_r(self.r)
-        if not math.isclose(self.l, expected, rel_tol=1e-9):
-            raise ValueError(f"l={self.l} does not match l_of_r({self.r})={expected}")
-
-    @classmethod
-    def from_r(cls, r: float) -> "CuspConstants":
-        return cls(l_of_r(r), r)
-
-
-def horocycle_length(a: float, span: float) -> float:
-    """Length of a horizontal segment of Euclidean width ``span`` at height ``a``."""
-    if a <= 0:
-        raise NonpositiveHeight(f"height must be positive, got {a}")
-    if span < 0:
-        raise ValueError(f"span must be >= 0, got {span}")
-    return span / a
-
-
-def vertical_length(a: float, b: float) -> float:
-    """Length of the vertical segment between heights ``a`` and ``b``."""
-    if not 0 < a <= b:
-        raise InvalidInterval(f"need 0 < a <= b, got a={a}, b={b}")
-    return math.log(b / a)
-
-
-def strip_area(a: float, b: float = math.inf) -> float:
-    """Area of the unit-width strip between heights ``a`` and ``b``."""
-    if not 0 < a < b:
-        raise InvalidInterval(f"need 0 < a < b, got a={a}, b={b}")
-    if b == math.inf:
-        return 1.0 / a
-    return 1.0 / a - 1.0 / b
-
-def trapezium_area(d: float, l: float) -> float:
-    """Area between a unit horocycle segment of a degree-``d`` cusp and
-    the depth-``l`` horocycle below it.
-
-    Isometric to the unit strip between heights 1 and d/l.
-    """
-    if not d > l > 0:
-        raise DegreeNotExceedingL(f"need d > l > 0, got d={d}, l={l}")
-    return 1.0 - l / d
 
 
 def surface_area(n: int) -> float:
@@ -152,11 +63,13 @@ def small_triangle_area() -> float:
     return math.pi - 3.0
 
 
-def cusps_from_faces(fd: FaceDecomposition) -> tuple[CuspData, ...]:
-    """One CuspData per face, indexed by face id."""
-    return tuple(
-        CuspData(i, len(cycle), cycle) for i, cycle in enumerate(fd.faces)
-    )
+def exact_l(l) -> Fraction:
+    """A horocycle length or strip depth ``l`` as an exact Fraction (ints
+    and floats convert exactly); ValueError unless it is positive."""
+    lq = Fraction(l)
+    if lq <= 0:
+        raise ValueError(f"l must be positive, got {l}")
+    return lq
 
 
 def degree_threshold(n: int) -> float:
@@ -202,9 +115,7 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     with none, this agrees with ``has_large_cusps_proxy``.
     Exact for rational ``l`` (ints and floats are converted exactly).
     """
-    lq = Fraction(l)
-    if lq <= 0:
-        raise ValueError(f"l must be positive, got {l}")
+    lq = exact_l(l)
     l2 = lq * lq
     small = [j for j, d in enumerate(fd.degrees) if d <= lq]
     if not small:
@@ -263,14 +174,3 @@ def develop_strip(
         if enter(p, m):
             queue.append((matching[rotation(rotation(a))], p, m, depth + 1))
 
-
-def l_of_r(r: float) -> float:
-    """Horocycle length paired with collar radius ``r``.
-
-    2*pi / log((e^r + 1) / e^(r-1)); the denominator simplifies to
-    1 + log1p(e^-r), which is stable for large r.  Strictly increasing
-    in r, tending to 2*pi from below.
-    """
-    if r <= 0:
-        raise NonpositiveR(f"r must be positive, got {r}")
-    return 2.0 * math.pi / (1.0 + math.log1p(math.exp(-r)))

@@ -17,7 +17,7 @@ import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,6 +27,7 @@ from .ribbon import BrokenInvariant, derive_seed, faces, sample
 
 __all__ = [
     "SCHEMA_VERSION",
+    "DEFAULT_H_THRESHOLD",
     "CSV_COLUMNS",
     "InsufficientData",
     "NoUsableRows",
@@ -42,6 +43,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# the paper's bound 2/3 + epsilon at epsilon = 0.05
+DEFAULT_H_THRESHOLD = 2.0 / 3.0 + 0.05
+
+# the CSV header: the schema version, then the TrialRecord fields in order
 CSV_COLUMNS = [
     "schema_version",
     "n",
@@ -104,26 +109,7 @@ class TrialRecord:
                 return repr(x)
             return str(x)
 
-        return [
-            fmt(SCHEMA_VERSION),
-            fmt(self.n),
-            fmt(self.seed),
-            fmt(self.trial_index),
-            self.status,
-            fmt(self.lht),
-            fmt(self.genus),
-            fmt(self.connected),
-            fmt(self.min_degree),
-            fmt(self.max_degree),
-            fmt(self.sum_degrees),
-            fmt(self.num_i1),
-            fmt(self.boundary_length),
-            fmt(self.area_a),
-            fmt(self.area_b),
-            fmt(self.h_upper),
-            fmt(self.s2_size),
-            fmt(self.wall_time_ms),
-        ]
+        return [fmt(SCHEMA_VERSION)] + [fmt(getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass(frozen=True)
@@ -285,7 +271,7 @@ def h_fraction_below(records: Sequence[TrialRecord], threshold: float) -> float:
 
 
 def summarize(
-    records: Sequence[TrialRecord], n: int, h_threshold: float = 2.0 / 3.0 + 0.05
+    records: Sequence[TrialRecord], n: int, h_threshold: float = DEFAULT_H_THRESHOLD
 ) -> SummaryStats:
     rows = [rec for rec in records if rec.n == n]
     if not rows:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cusps import CuspPartition, develop_strip
+from .cusps import CuspPartition, develop_strip, exact_l
 from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
@@ -88,15 +88,6 @@ class FareyTriangle:
         if self.level < 1:
             raise ValueError("level must be >= 1")
 
-    @property
-    def width(self) -> Fraction:
-        return self.right - self.left
-
-    @property
-    def apex_height(self) -> Fraction:
-        """Top of the outer geodesic semicircle, the triangle's highest point."""
-        return self.width / 2
-
 
 @dataclass(frozen=True)
 class DevelopedTriangle:
@@ -148,29 +139,30 @@ def intersects_strip(t: FareyTriangle, l) -> bool:
     Reduces to the apex height of the outer semicircle; exact when l is
     rational (ints and floats are converted exactly).
     """
-    lq = Fraction(l)
-    if lq <= 0:
-        raise ValueError(f"l must be positive, got {l}")
-    return (t.right - t.left) * lq > 2
+    return (t.right - t.left) * exact_l(l) > 2
 
 
 def count_intersecting(l, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
     """Number of subdivision triangles meeting the open strip {y > 1/l}.
 
-    A level-m triangle sits under a gap of row m-1, whose gaps are at
-    most 1/m, so levels with 2m >= l contribute nothing and the scan
-    stops there.
+    The triangle under a gap a/b < c/d has width 1/(bd), so it meets the
+    strip iff l > 2bd.  The gaps below it have denominator pairs
+    (b, b+d) and (b+d, d), with larger products, so a descent from the
+    level-1 pair (1, 1) stops at the first gap that misses.  Row m-1 has
+    gaps of at most 1/m, so only levels with 2m < l contribute; that
+    depth must stay within ``level_cap``.
     """
-    lq = Fraction(l)
-    if lq <= 0:
-        raise ValueError(f"l must be positive, got {l}")
+    lq = exact_l(l)
     deepest = math.ceil(lq / 2) - 1  # levels with 2m >= l cannot reach the strip
     if deepest > level_cap:
         raise LevelCapExceeded(f"needed level {deepest} exceeds cap {level_cap}")
     count = 0
-    for m in range(deepest):
-        row = vertex_row(m, level_cap)
-        count += sum((b - a) * lq > 2 for a, b in zip(row, row[1:]))
+    stack = [(1, 1)]
+    while stack:
+        b, d = stack.pop()
+        if lq > 2 * b * d:
+            count += 1
+            stack += [(b, b + d), (b + d, d)]
     return count
 
 
@@ -208,9 +200,7 @@ def develop_horoball(
     For d_j > l the horoball stays above the canonical loop and the
     development is empty.
     """
-    lq = Fraction(l)
-    if lq <= 0:
-        raise ValueError(f"l must be positive, got {l}")
+    lq = exact_l(l)
     d_j = fd.degrees[j]
     if d_j > lq:
         return []
@@ -255,9 +245,7 @@ def classify_segments(
     each small cusp still contributes at most 3 * d_j * n_bound(l) <=
     m_bound(l) darts, so |s2| <= m_bound(l) * lht.
     """
-    lq = Fraction(l)
-    if lq <= 0:
-        raise ValueError(f"l must be positive, got {l}")
+    lq = exact_l(l)
     hot: set[int] = set()
     for j, d in enumerate(fd.degrees):
         if d <= lq:

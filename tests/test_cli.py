@@ -209,6 +209,15 @@ class TestFarey:
             {"left": "1/2", "apex": "2/3", "right": "1/1"},
         ]
 
+    def test_deepest_level_within_cap(self, capsys):
+        # l = 62 needs subdivision level 30, the cap; l = 63 would need 31
+        code, out, _ = run_cli(capsys, "farey", "--l", "62")
+        assert code == 0
+        assert json.loads(out)["count_intersecting"] == 89
+        code, out, err = run_cli(capsys, "farey", "--l", "63")
+        assert code == 2
+        assert out == "" and "exceeds cap" in err
+
     def test_invalid_l(self, capsys):
         code, _, _ = run_cli(capsys, "farey", "--l", "0")
         assert code == 2
@@ -274,6 +283,16 @@ class TestGrid:
         assert (tmp_path / "a" / "summary.json").read_text() == (
             tmp_path / "b" / "summary.json"
         ).read_text()
+
+    def test_golden_summary(self, capsys, tmp_path):
+        # sha256 of summary.json on the grid of the golden CSV digest in test_experiments
+        code, _, _ = run_cli(
+            capsys, "grid", "--n-list", "3,100,1000", "--trials", "20", "--seed", "5",
+            "--s2-l", "4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+        assert digest == "85626656a6c741cf27f075d6bb31a73a88349b19941e37e2a278ea054cbccf00"
 
     def test_bad_n_list(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -9,25 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from belyi.cusps import (
-    CuspConstants,
-    CuspData,
-    DegreeNotExceedingL,
-    InvalidInterval,
-    NonpositiveHeight,
-    NonpositiveR,
     NTooSmall,
-    cusps_from_faces,
     degree_threshold,
     has_large_cusps,
     has_large_cusps_proxy,
-    horocycle_length,
-    l_of_r,
     partition_cusps,
     small_triangle_area,
-    strip_area,
     surface_area,
-    trapezium_area,
-    vertical_length,
 )
 from belyi.ribbon import derive_seed, faces, from_matching, sample
 
@@ -36,85 +24,6 @@ THETA_SPHERE = [(0, 3), (1, 5), (2, 4)]
 # a loop (degree-1 face) whose triangle has its other two corners on one
 # degree-11 face
 LOOP_BESIDE_LARGE = [(0, 10), (1, 7), (2, 8), (3, 9), (4, 5), (6, 11)]
-
-
-class TestHorocycleLength:
-    def test_unit_segment(self):
-        assert horocycle_length(1, 1) == 1.0
-
-    def test_half_height(self):
-        assert horocycle_length(0.5, 1) == 2.0
-
-    def test_empty_segment(self):
-        assert horocycle_length(2, 0) == 0.0
-
-    def test_nonpositive_height(self):
-        with pytest.raises(NonpositiveHeight):
-            horocycle_length(0, 1)
-        with pytest.raises(NonpositiveHeight):
-            horocycle_length(-1, 1)
-
-
-class TestVerticalLength:
-    def test_one_to_e(self):
-        assert vertical_length(1, math.e) == pytest.approx(1.0, abs=1e-15)
-
-    def test_degenerate(self):
-        assert vertical_length(3.5, 3.5) == 0.0
-
-    def test_two_to_eight(self):
-        assert vertical_length(2, 8) == pytest.approx(1.3862943611198906, abs=1e-15)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidInterval):
-            vertical_length(2, 1)
-        with pytest.raises(InvalidInterval):
-            vertical_length(0, 1)
-
-
-class TestStripArea:
-    def test_finite(self):
-        assert strip_area(1, 2) == pytest.approx(0.5, abs=1e-15)
-
-    def test_infinite(self):
-        assert strip_area(1) == 1.0
-        assert strip_area(1, math.inf) == 1.0
-
-    def test_one_third(self):
-        assert strip_area(1 / 3, math.inf) == pytest.approx(3.0, abs=1e-12)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidInterval):
-            strip_area(2, 2)
-        with pytest.raises(InvalidInterval):
-            strip_area(0, 1)
-
-
-class TestTrapeziumArea:
-    def test_example(self):
-        assert trapezium_area(10, 2) == pytest.approx(0.8, abs=1e-15)
-
-    def test_direct(self):
-        assert trapezium_area(6, 1) == pytest.approx(5 / 6, abs=1e-15)
-
-    def test_limits(self):
-        # -> 0 as d approaches l from above, -> 1 as d grows, monotonically
-        values = [trapezium_area(2 + 10**-k, 2) for k in range(1, 8)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-        assert values[-1] < 1e-6
-        growing = [trapezium_area(d, 2) for d in (3, 10, 100, 10**6)]
-        assert all(a < b for a, b in zip(growing, growing[1:]))
-        assert growing[-1] > 1 - 1e-5
-
-    def test_monotone_in_both_arguments(self):
-        assert trapezium_area(11, 2) > trapezium_area(10, 2)
-        assert trapezium_area(10, 3) < trapezium_area(10, 2)
-
-    def test_invalid(self):
-        with pytest.raises(DegreeNotExceedingL):
-            trapezium_area(2, 2)
-        with pytest.raises(DegreeNotExceedingL):
-            trapezium_area(5, 0)
 
 
 class TestAreas:
@@ -148,7 +57,7 @@ class TestPartition:
         assert degree_threshold(10**4) == pytest.approx(117.88231063225868, abs=1e-9)
 
     def test_classification_at_n_1e4(self):
-        # fabricate degree data around the threshold via CuspData-free path
+        # fabricate degree data around the threshold
         from belyi.ribbon import FaceDecomposition
 
         fd = FaceDecomposition(
@@ -266,50 +175,3 @@ class TestLargeCusps:
             assert all(fd.label[d] == i + 1 for d in cycle)
         if has_large_cusps_proxy(fd, l):
             assert has_large_cusps(fd, l)
-
-
-class TestLOfR:
-    def test_value_at_one(self):
-        # 2*pi / log(e + 1), via the direct formula as the oracle
-        direct = 2 * math.pi / math.log((math.e**1 + 1) / math.e ** (1 - 1))
-        assert l_of_r(1) == pytest.approx(direct, rel=1e-15)
-        assert l_of_r(1) == pytest.approx(4.784412251493784, rel=1e-14)
-
-    def test_monotone_increasing(self):
-        rs = [0.1 + 0.1 * k for k in range(200)]
-        vals = [l_of_r(r) for r in rs]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_limit_two_pi(self):
-        # denominator 1 + log(1 + e^-r) > 1, so values increase toward 2*pi
-        assert l_of_r(15) < 2 * math.pi
-        assert l_of_r(40) == pytest.approx(2 * math.pi, rel=1e-12)
-
-    def test_nonpositive(self):
-        with pytest.raises(NonpositiveR):
-            l_of_r(0)
-
-
-class TestCuspData:
-    def test_from_faces(self):
-        fd = faces(sample(5, 2))
-        cusps = cusps_from_faces(fd)
-        assert len(cusps) == fd.lht
-        assert sum(c.degree for c in cusps) == 30
-        for c in cusps:
-            assert c.degree == len(c.darts)
-            assert fd.faces[c.face_id] == c.darts
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CuspData(0, 3, (0, 1))
-
-
-class TestCuspConstants:
-    def test_from_r(self):
-        cc = CuspConstants.from_r(2.0)
-        assert cc.l == pytest.approx(l_of_r(2.0), rel=1e-15)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CuspConstants(l=5.0, r=1.0)

@@ -141,6 +141,23 @@ class TestCounts:
             )
             assert count_intersecting(l) == oracle
 
+    def test_count_matches_coprime_pairs(self):
+        # each coprime pair (b, d) is the denominator pair of exactly one
+        # Stern-Brocot gap in [0, 1], whose triangle has width 1/(bd)
+        def closed_form(l):
+            top = math.ceil(l)
+            return sum(
+                1
+                for b in range(1, top)
+                for d in range(1, top)
+                if math.gcd(b, d) == 1 and 2 * b * d < l
+            )
+
+        for l in [*range(1, 63), F(5, 2), 7.25, F(21, 4)]:
+            assert count_intersecting(l) == closed_form(l), l
+        assert count_intersecting(38) == 47
+        assert count_intersecting(62) == 89
+
     def test_count_at_most_bound_scan(self):
         for l in range(1, 31):
             assert count_intersecting(l) <= n_bound(l)
@@ -159,6 +176,25 @@ class TestCounts:
             n_bound(0)
         with pytest.raises(ValueError):
             m_bound(-1)
+
+
+class TestLengthCheck:
+    def test_one_message_for_nonpositive_l(self):
+        g = from_matching(1, THETA_TORUS)
+        fd = faces(g)
+        top = FareyTriangle(F(0), F(1, 2), F(1), 1)
+        partition = CuspPartition(i1=frozenset({0}), i2=frozenset(), threshold=1.0)
+        calls = [
+            lambda l: has_large_cusps(fd, l),
+            lambda l: intersects_strip(top, l),
+            lambda l: count_intersecting(l),
+            lambda l: develop_horoball(g, fd, 0, l),
+            lambda l: classify_segments(g, fd, partition, l),
+        ]
+        for call in calls:
+            for l in (0, -1.5):
+                with pytest.raises(ValueError, match=rf"^l must be positive, got {l}$"):
+                    call(l)
 
 
 class TestHoroballFootprint:
