@@ -74,6 +74,39 @@ class TestBuildCuspCut:
 
 
 class TestAssignLabels:
+    def test_missing_cut(self):
+        # every large cusp gets exactly one cut, in sorted order, and each is
+        # the cut build_cusp_cut gives for that cusp alone
+        for n, y_factor in ((10, 1.0), (30, 2.5), (200, 1.0)):
+            for seed in range(5):
+                g = sample(n, derive_seed(53, n, seed))
+                fd = faces(g)
+                if not fd.connected:
+                    continue
+                division = cheeger_upper_bound(g, fd, n, y_factor)
+                large = sorted(partition_cusps(fd, n).i1)
+                assert [c.face_id for c in division.cuts] == large
+                assert division.cuts == tuple(
+                    build_cusp_cut(i, fd.degrees[i], n, y_factor) for i in large
+                )
+
+    def test_extra_cut_rejected(self):
+        # no small cusp is cut, and a cut asked for one is refused
+        checked = 0
+        for seed in range(20):
+            g = sample(30, derive_seed(59, seed))
+            fd = faces(g)
+            if not fd.connected:
+                continue
+            division = cheeger_upper_bound(g, fd, 30)
+            small = division.partition.i2
+            assert not small & {c.face_id for c in division.cuts}
+            for j in small:
+                with pytest.raises(CuspNotInI1):
+                    build_cusp_cut(j, fd.degrees[j], 30)
+                checked += 1
+        assert checked > 0
+
     def test_majority_rule_against_recount(self):
         # independently rebuild the dart labels and re-derive the boundary
         for seed in range(10):
@@ -260,24 +293,39 @@ class TestDegreeMassBound:
             sum_degrees_i1_bound_check(fd, partition, 1e-6, 100)
 
 
+def honeycomb_torus(m):
+    """The m x m honeycomb torus: n = m^2 and every face has degree 6."""
+    n = m * m
+
+    def vert(x, y, side):
+        return 2 * ((x % m) * m + (y % m)) + side
+
+    pairs = []
+    for x in range(m):
+        for y in range(m):
+            a = vert(x, y, 0)
+            for slot, b in enumerate(
+                [vert(x, y, 1), vert(x - 1, y, 1), vert(x, y - 1, 1)]
+            ):
+                pairs.append((3 * a + slot, 3 * b + slot))
+    return from_matching(n, pairs)
+
+
 class TestEmptyI1:
+    def test_error_carries_no_fake_cut(self, monkeypatch):
+        # an empty large side must be reported before any cut is built
+        def no_cut(*args, **kwargs):
+            raise AssertionError("a cut was built for a surface without large cusps")
+
+        monkeypatch.setattr("belyi.cheeger.build_cusp_cut", no_cut)
+        g = honeycomb_torus(14)
+        with pytest.raises(EmptyI1):
+            cheeger_upper_bound(g, faces(g), g.n)
+
     def test_all_hexagon_surface_has_no_large_cusp(self):
         # honeycomb torus: every face degree 6 < threshold once n >= 170
-        m = 14
-        n = m * m
-
-        def vert(x, y, side):
-            return 2 * ((x % m) * m + (y % m)) + side
-
-        pairs = []
-        for x in range(m):
-            for y in range(m):
-                a = vert(x, y, 0)
-                for slot, b in enumerate(
-                    [vert(x, y, 1), vert(x - 1, y, 1), vert(x, y - 1, 1)]
-                ):
-                    pairs.append((3 * a + slot, 3 * b + slot))
-        g = from_matching(n, pairs)
+        g = honeycomb_torus(14)
+        n = g.n
         fd = faces(g)
         assert fd.connected
         assert set(fd.degrees) == {6}
