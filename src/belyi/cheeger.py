@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .cusps import (
     CuspPartition,
@@ -45,6 +46,10 @@ __all__ = [
     "sum_degrees_i1_bound_check",
     "invariant_failures",
 ]
+
+
+# vote byte (1 where a triangle's majority is A) -> its label character
+_LABEL_OF_VOTE = bytes.maketrans(b"\x00\x01", b"BA")
 
 
 class CuspNotInI1(ValueError):
@@ -91,16 +96,17 @@ class Division:
     """A two-label division of the whole surface.
 
     Cusp sides of large cusps carry fixed labels (side 1 A, side 2 B),
-    small cusps carry B, and ``triangle_labels[v]`` is the majority
-    label of triangle v.  ``cuts`` follow the sorted large cusps of
-    ``partition``.  ``boundary_segments`` holds the minority darts; the
-    full boundary is those unit segments plus the cut curves.
+    small cusps carry B, and ``triangle_labels[v]``, one character of a
+    string of ``A`` and ``B``, is the majority label of triangle v.
+    ``cuts`` follow the sorted large cusps of ``partition``.
+    ``boundary_segments`` holds the minority darts; the full boundary is
+    those unit segments plus the cut curves.
     """
 
     n: int
     partition: CuspPartition
     cuts: tuple[CuspCut, ...]
-    triangle_labels: tuple[str, ...]
+    triangle_labels: str
     boundary_segments: frozenset[int]
     boundary_length: float
     area_a: float
@@ -184,20 +190,18 @@ def cheeger_upper_bound(
         for t in range(cut.k):
             side_a[cycle[t]] = 1
 
-    labels: list[str] = []
-    boundary: list[int] = []
-    for v in range(g.num_vertices):
-        base = 3 * v
-        a0, a1, a2 = side_a[base], side_a[base + 1], side_a[base + 2]
-        votes = a0 + a1 + a2
-        if votes >= 2:
-            labels.append("A")
-            if votes == 2:
-                boundary.append(base + (1 if a1 == 0 else (0 if a0 == 0 else 2)))
-        else:
-            labels.append("B")
-            if votes == 1:
-                boundary.append(base + (1 if a1 == 1 else (0 if a0 == 1 else 2)))
+    # byte v of slice r is dart 3v + r of triangle v; the bitwise majority
+    # of the three slices, read back as bytes, is 1 where triangle v is A
+    s0, s1, s2 = (int.from_bytes(side_a[r::3], "little") for r in range(3))
+    majority = (s0 & s1) | (s1 & s2) | (s0 & s2)
+    num_v = g.num_vertices
+    labels = majority.to_bytes(num_v, "little").translate(_LABEL_OF_VOTE).decode("ascii")
+    # a dart is a minority dart where its side differs from its triangle's majority
+    boundary = [
+        d
+        for r, side in enumerate((s0, s1, s2))
+        for d in compress(range(r, 3 * num_v, 3), (side ^ majority).to_bytes(num_v, "little"))
+    ]
 
     boundary_length = float(len(boundary)) + math.fsum(c.eta_length for c in cuts)
     tri_area = small_triangle_area()
@@ -206,7 +210,7 @@ def cheeger_upper_bound(
     area_b = (
         math.fsum(c.side2_area for c in cuts)
         + math.fsum(fd.degrees[i] for i in partition.i2)
-        + tri_area * (g.num_vertices - num_a_triangles)
+        + tri_area * (num_v - num_a_triangles)
     )
     if not (area_a > 0 and area_b > 0):
         raise ParameterOutOfRange("both sides of the division must have positive area")
@@ -215,7 +219,7 @@ def cheeger_upper_bound(
         n=g.n,
         partition=partition,
         cuts=cuts,
-        triangle_labels=tuple(labels),
+        triangle_labels=labels,
         boundary_segments=frozenset(boundary),
         boundary_length=boundary_length,
         area_a=area_a,

@@ -9,7 +9,8 @@ on surfaces from their own seed streams; ``farey`` checks the Farey
 counts and bounds.
 Exit codes: 0 ok, 1 invariant failure (a counterexample, so a bug),
 2 usage or validation error (including a length or height that is not
-a positive finite number, rejected while parsing), 3 no large cusp to cut.
+a positive finite number, or a worker count below 1, rejected while
+parsing), 3 no large cusp to cut.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def _positive_finite(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
@@ -289,7 +298,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold", type=_positive_finite, default=experiments.DEFAULT_H_THRESHOLD
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help="worker processes (default: one per CPU this process may use)",
+    )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_grid)
 

@@ -7,13 +7,14 @@ trials (disconnected sample, no large cusp) are recorded with a status
 instead of being resampled, so measured fractions stay interpretable
 against the sampling measure.
 Reruns with the same inputs reproduce every field except the wall
-time.
+time, whether the trials run in this process or in a pool of workers.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,7 @@ __all__ = [
     "TrialRecord",
     "SummaryStats",
     "run_trial",
+    "pool_plan",
     "run_grid",
     "write_csv",
     "lht_growth_fit",
@@ -189,6 +191,26 @@ def _trial_args(args: tuple) -> TrialRecord:
     return run_trial(*args)
 
 
+def pool_plan(workers: int | None, num_jobs: int) -> tuple[int, int]:
+    """(worker processes, chunk size) for ``num_jobs`` trials.
+
+    ``None`` asks for one worker per CPU this process may run on.  The
+    count is capped at the job count, since a pool may start all its
+    workers at once; one worker means the serial in-process loop.  The
+    chunk size gives each worker about four chunks, so no worker idles
+    while another holds the whole grid.
+    """
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = max(1, min(workers, num_jobs))
+    return workers, max(1, num_jobs // (4 * workers))
+
+
 def run_grid(
     n_values: Sequence[int],
     trials: int,
@@ -196,13 +218,16 @@ def run_grid(
     y_factor: float = 1.0,
     out_path: str | Path | None = None,
     s2_l: float | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[TrialRecord]:
     """One record per (n, trial), with per-trial derived seeds.
 
+    Trials run in a pool of ``pool_plan(workers, ...)`` processes, by
+    default one per available CPU; the pool ends before this returns.
     Rows are ordered by (n, trial_index) regardless of completion
     order; with ``out_path`` they are also written as CSV.  Identical
-    inputs reproduce identical records except for the wall time.
+    inputs reproduce identical records except for the wall time, for
+    any number of workers.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -214,9 +239,10 @@ def run_grid(
         for n in n_values
         for t in range(trials)
     ]
+    workers, chunksize = pool_plan(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_args, jobs, chunksize=4))
+            records = list(pool.map(_trial_args, jobs, chunksize=chunksize))
     else:
         records = [run_trial(*job) for job in jobs]
     if out_path is not None:

@@ -284,6 +284,35 @@ class TestGrid:
             tmp_path / "b" / "summary.json"
         ).read_text()
 
+    def test_default_workers_match_one_worker(self, capsys, tmp_path):
+        for name, extra in (("default", ()), ("serial", ("--workers", "1"))):
+            code, _, _ = run_cli(
+                capsys, "grid", "--n-list", "50,200", "--trials", "8", "--seed", "3",
+                *extra, "--out", str(tmp_path / name),
+            )
+            assert code == 0
+
+        def without_last_column(p):
+            with open(p / "trials.csv") as fh:
+                return [r[:-1] for r in csv.reader(fh)]
+
+        assert without_last_column(tmp_path / "default") == without_last_column(tmp_path / "serial")
+        assert (tmp_path / "default" / "summary.json").read_bytes() == (
+            tmp_path / "serial" / "summary.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "x"])
+    def test_bad_workers_exit_2_before_running(self, capsys, tmp_path, workers):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            capsys, "grid", "--n-list", "10", "--trials", "1", "--workers", workers,
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--workers" in err
+        assert not out_dir.exists()
+
     def test_golden_summary(self, capsys, tmp_path):
         # sha256 of summary.json on the grid of the golden CSV digest in test_experiments
         code, _, _ = run_cli(

@@ -3,10 +3,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import multiprocessing
+import os
 
 import pytest
 
 from belyi import experiments
+from belyi.cheeger import EmptyI1
 from belyi.experiments import (
     CSV_COLUMNS,
     InsufficientData,
@@ -14,6 +17,7 @@ from belyi.experiments import (
     TrialRecord,
     h_fraction_below,
     lht_growth_fit,
+    pool_plan,
     run_grid,
     run_trial,
     summarize,
@@ -118,11 +122,37 @@ class TestRunGrid:
                 assert rec.genus is None
                 assert not rec.connected
 
-    def test_parallel_matches_serial(self):
-        serial = run_grid([10], 4, 5, workers=1)
-        parallel = run_grid([10], 4, 5, workers=2)
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # 24 jobs give each of two workers several chunks.  No sample this
+        # small lacks a large cusp, so the patch turns the surfaces whose
+        # dart 0 meets a multiple of 3 into empty_i1 rows; forked workers
+        # inherit it.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers see a patched module")
+        real = experiments.cheeger_upper_bound
+
+        def patched(g, fd, n, y_factor):
+            if fd.connected and g.matching[0] % 3 == 0:
+                raise EmptyI1("patched")
+            return real(g, fd, n, y_factor)
+
+        monkeypatch.setattr(experiments, "cheeger_upper_bound", patched)
+        grid = ([3, 4, 5, 6], 6, 0)
+        serial = run_grid(*grid, out_path=tmp_path / "serial.csv", workers=1)
+        assert {r.status for r in serial} == {"ok", "disconnected", "empty_i1"}
         strip = lambda r: {k: v for k, v in r.__dict__.items() if k != "wall_time_ms"}
-        assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+        for workers in (None, 2):
+            parallel = run_grid(*grid, out_path=tmp_path / "parallel.csv", workers=workers)
+            assert [strip(r) for r in parallel] == [strip(r) for r in serial]
+            assert strip_timing(tmp_path / "parallel.csv") == strip_timing(tmp_path / "serial.csv")
+
+    def test_one_job_or_one_worker_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        assert len(run_grid([10], 1, 0)) == 1
+        assert len(run_grid([10], 5, 0, workers=1)) == 5
 
     def test_golden_fingerprint(self, tmp_path):
         # sha256 of the CSV without wall_time_ms; the grid includes one disconnected row
@@ -136,6 +166,36 @@ class TestRunGrid:
             run_grid([2], 1, 0)
         with pytest.raises(ValueError):
             run_grid([10], 0, 0)
+
+
+class TestPoolPlan:
+    """``pool_plan`` is pure: these cases start no process."""
+
+    def test_default_is_the_available_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        assert pool_plan(None, 1000)[0] == min(cpus, 1000)
+
+    @pytest.mark.parametrize(
+        "workers, jobs, plan",
+        [
+            (2, 50, (2, 6)),  # grid-sized: each worker gets several chunks
+            (2, 2, (2, 1)),  # two large trials split across two workers
+            (4, 3, (3, 1)),  # capped at the job count
+            (8, 1, (1, 1)),  # one job runs in process
+            (1, 50, (1, 12)),
+            (3, 0, (1, 1)),
+        ],
+    )
+    def test_count_and_chunk(self, workers, jobs, plan):
+        assert pool_plan(workers, jobs) == plan
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            pool_plan(workers, 10)
 
 
 class TestLhtGrowthFit:
