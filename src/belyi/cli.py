@@ -4,8 +4,8 @@ Subcommands: ``sample`` (graph JSON to stdout or a file), ``cheeger``
 (division summary JSON), ``farey`` (subdivision counts and bounds),
 ``verify`` (invariant suites), and ``grid`` (Monte Carlo CSV runs).
 The ``identities`` and ``division`` suites of ``verify`` run
-``cheeger.invariant_failures``, the same checks as every grid trial,
-on surfaces from their own seed streams; ``farey`` checks the Farey
+``experiments.run_trial``, the same trial and checks as every grid
+row, on surfaces from their own seed streams; ``farey`` checks the Farey
 counts and bounds.
 Exit codes: 0 ok, 1 invariant failure (a counterexample, so a bug),
 2 usage or validation error (including a length or height that is not
@@ -73,8 +73,6 @@ def _load_graph(source: str) -> ribbon.RibbonGraph:
 
 
 def _cmd_sample(args) -> int:
-    if args.n < 1:
-        return _fail(f"--n must be >= 1, got {args.n}")
     if args.connected:
         g, fd = ribbon.sample_connected(args.n, args.seed)
     else:
@@ -103,8 +101,6 @@ def _cmd_cheeger(args) -> int:
     else:
         if args.n is None or args.seed is None:
             return _fail("either --graph or both --n and --seed are required")
-        if args.n < 1:
-            return _fail(f"--n must be >= 1, got {args.n}")
         g = ribbon.sample(args.n, args.seed)
         seed = args.seed
     fd = ribbon.faces(g)
@@ -165,12 +161,9 @@ def _cmd_grid(args) -> int:
         n_values = [int(x) for x in args.n_list.split(",") if x]
     except ValueError:
         return _fail(f"cannot parse --n-list {args.n_list!r}")
-    if not n_values or any(n < 3 for n in n_values):
+    if not n_values:
         return _fail("--n-list needs integers >= 3")
-    if args.trials < 1:
-        return _fail(f"--trials must be >= 1, got {args.trials}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = experiments.run_grid(
         n_values,
         args.trials,
@@ -195,20 +188,13 @@ def _check(ok: bool, message: str, failures: list[str]) -> None:
 
 
 def _suite_sampled(label: str, args) -> list[str]:
-    """``invariant_failures`` on surfaces sampled from the ``label`` seed stream."""
+    """``experiments.run_trial`` on surfaces sampled from the ``label`` seed stream."""
     for k in range(args.seeds):
         seed = ribbon.derive_seed(args.seed, label, k)
-        g = ribbon.sample(args.n, seed)
-        fd = ribbon.faces(g)
-        division = None
-        if fd.connected:
-            try:
-                division = cheeger_mod.cheeger_upper_bound(g, fd, args.n, args.y_factor)
-            except cheeger_mod.EmptyI1:
-                pass
-        failures = cheeger_mod.invariant_failures(g, fd, division)
-        if failures:
-            return [f"seed {seed}: {msg}" for msg in failures]
+        try:
+            experiments.run_trial(args.n, seed, k, args.y_factor)
+        except ribbon.BrokenInvariant as exc:
+            return [str(exc)]
     return []
 
 

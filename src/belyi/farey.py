@@ -28,7 +28,6 @@ from .ribbon import FaceDecomposition, RibbonGraph
 __all__ = [
     "OutOfOrder",
     "LevelCapExceeded",
-    "DepthCapExceeded",
     "FareyTriangle",
     "DevelopedTriangle",
     "mediant",
@@ -43,7 +42,8 @@ __all__ = [
     "classify_segments",
 ]
 
-DEFAULT_LEVEL_CAP = 30
+# the deepest subdivision level any function here will reach
+LEVEL_CAP = 30
 
 
 class OutOfOrder(ValueError):
@@ -51,11 +51,7 @@ class OutOfOrder(ValueError):
 
 
 class LevelCapExceeded(ValueError):
-    """Requested subdivision level exceeds the configured cap."""
-
-
-class DepthCapExceeded(RuntimeError):
-    """Developing map descended past its defensive depth bound."""
+    """Requested subdivision level exceeds ``LEVEL_CAP``."""
 
 
 def mediant(p: Fraction, q: Fraction) -> Fraction:
@@ -104,12 +100,12 @@ class DevelopedTriangle:
     vertices: tuple
 
 
-def vertex_row(m: int, level_cap: int = DEFAULT_LEVEL_CAP) -> list[Fraction]:
+def vertex_row(m: int) -> list[Fraction]:
     """Vertex row after m rounds of mediant insertion (2^m + 1 points)."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m > level_cap:
-        raise LevelCapExceeded(f"m={m} exceeds cap {level_cap}")
+    if m > LEVEL_CAP:
+        raise LevelCapExceeded(f"m={m} exceeds cap {LEVEL_CAP}")
     row = [Fraction(0), Fraction(1)]
     for _ in range(m):
         nxt = []
@@ -121,13 +117,13 @@ def vertex_row(m: int, level_cap: int = DEFAULT_LEVEL_CAP) -> list[Fraction]:
     return row
 
 
-def enumerate_level(m: int, level_cap: int = DEFAULT_LEVEL_CAP) -> list[FareyTriangle]:
+def enumerate_level(m: int) -> list[FareyTriangle]:
     """The 2^(m-1) triangles created at subdivision step m >= 1."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if m > level_cap:
-        raise LevelCapExceeded(f"m={m} exceeds cap {level_cap}")
-    row = vertex_row(m - 1, level_cap)
+    if m > LEVEL_CAP:
+        raise LevelCapExceeded(f"m={m} exceeds cap {LEVEL_CAP}")
+    row = vertex_row(m - 1)
     return [
         FareyTriangle(a, mediant(a, b), b, m) for a, b in zip(row, row[1:])
     ]
@@ -142,7 +138,7 @@ def intersects_strip(t: FareyTriangle, l) -> bool:
     return (t.right - t.left) * exact_l(l) > 2
 
 
-def count_intersecting(l, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
+def count_intersecting(l) -> int:
     """Number of subdivision triangles meeting the open strip {y > 1/l}.
 
     The triangle under a gap a/b < c/d has width 1/(bd), so it meets the
@@ -150,12 +146,16 @@ def count_intersecting(l, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
     (b, b+d) and (b+d, d), with larger products, so a descent from the
     level-1 pair (1, 1) stops at the first gap that misses.  Row m-1 has
     gaps of at most 1/m, so only levels with 2m < l contribute; that
-    depth must stay within ``level_cap``.
+    depth must stay within ``LEVEL_CAP``.
+
+    The descent builds no level row, but the cap still bounds its time,
+    which grows like l log l, and it rejects a huge ``l`` from the
+    command line before ``n_bound`` builds a 2^(l/2)-sized integer.
     """
     lq = exact_l(l)
     deepest = math.ceil(lq / 2) - 1  # levels with 2m >= l cannot reach the strip
-    if deepest > level_cap:
-        raise LevelCapExceeded(f"needed level {deepest} exceeds cap {level_cap}")
+    if deepest > LEVEL_CAP:
+        raise LevelCapExceeded(f"needed level {deepest} exceeds cap {LEVEL_CAP}")
     count = 0
     stack = [(1, 1)]
     while stack:
@@ -168,18 +168,12 @@ def count_intersecting(l, level_cap: int = DEFAULT_LEVEL_CAP) -> int:
 
 def n_bound(l) -> int:
     """Closed-form bound 2^(floor(l/2)+1) - 1 on ``count_intersecting``."""
-    if l <= 0:
-        raise ValueError(f"l must be positive, got {l}")
-    return 2 ** (math.floor(l / 2) + 1) - 1
+    return 2 ** (math.floor(exact_l(l) / 2) + 1) - 1
 
 
 def m_bound(l) -> int:
     """Segment-count bound 3 * l * n_bound(l), rounded up for non-integral l."""
-    if l <= 0:
-        raise ValueError(f"l must be positive, got {l}")
-    if isinstance(l, int):
-        return 3 * l * n_bound(l)
-    return math.ceil(3 * Fraction(l) * n_bound(l))
+    return math.ceil(3 * exact_l(l) * n_bound(l))
 
 
 def develop_horoball(
@@ -187,7 +181,6 @@ def develop_horoball(
     fd: FaceDecomposition,
     j: int,
     l,
-    depth_cap: int | None = None,
 ) -> list[DevelopedTriangle]:
     """Developed triangles of cusp j's strip meeting the horoball {y > d_j/l}.
 
@@ -195,7 +188,9 @@ def develop_horoball(
     carrying the corner dart of that walk position; then, in the order
     of ``cusps.develop_strip``, every triangle below it whose apex height
     1/(2 p_den r_den) exceeds d_j/l.  Heights fall with depth, so this
-    also bounds the depth.
+    also bounds the depth: p_den r_den is 1 at depth 1 and grows by at
+    least 1 per level, so every developed triangle has
+    2 d_j depth <= 2 d_j p_den r_den < l.
 
     For d_j > l the horoball stays above the canonical loop and the
     development is empty.
@@ -204,15 +199,11 @@ def develop_horoball(
     d_j = fd.degrees[j]
     if d_j > lq:
         return []
-    if depth_cap is None:
-        depth_cap = int(lq // 2) + 2
     out = [
         DevelopedTriangle(corner // 3, None, (Fraction(t), math.inf, Fraction(t + 1)))
         for t, corner in enumerate(fd.faces[j])
     ]
-    for a, p, r, depth in develop_strip(fd, j, lambda p, r: 2 * d_j * p[1] * r[1] < lq):
-        if depth > depth_cap:
-            raise DepthCapExceeded(f"development passed depth {depth_cap} for cusp {j}")
+    for a, p, r, _ in develop_strip(fd, j, lambda p, r: 2 * d_j * p[1] * r[1] < lq):
         mid = Fraction(p[0] + r[0], p[1] + r[1])
         out.append(DevelopedTriangle(a // 3, a, (Fraction(*p), mid, Fraction(*r))))
     return out
@@ -223,11 +214,10 @@ def horoball_footprint(
     fd: FaceDecomposition,
     j: int,
     l,
-    depth_cap: int | None = None,
 ) -> frozenset[int]:
     """Surface triangles whose developed copy meets cusp j's depth-l horoball."""
     return frozenset(
-        dt.surface_triangle for dt in develop_horoball(g, fd, j, l, depth_cap)
+        dt.surface_triangle for dt in develop_horoball(g, fd, j, l)
     )
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "MaxRejectionsExceeded",
     "RibbonGraph",
     "FaceDecomposition",
-    "vertex_of",
     "rotation",
     "derive_seed",
     "from_matching",
@@ -79,11 +78,6 @@ class MaxRejectionsExceeded(RuntimeError):
     """Rejection sampling for a connected graph exhausted its budget."""
 
 
-def vertex_of(dart: int) -> int:
-    """Vertex owning a dart."""
-    return dart // 3
-
-
 def rotation(dart: int) -> int:
     """Cyclic successor of ``dart`` at its vertex: (3v, 3v+1, 3v+2)."""
     r = dart % 3
@@ -125,10 +119,6 @@ class RibbonGraph:
     @property
     def num_vertices(self) -> int:
         return 2 * self.n
-
-    @property
-    def num_edges(self) -> int:
-        return 3 * self.n
 
     def pairs(self) -> list[tuple[int, int]]:
         """The matching as a sorted list of (low, high) dart pairs."""

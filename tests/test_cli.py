@@ -11,7 +11,7 @@ import pytest
 
 from belyi import experiments
 from belyi.cli import main
-from belyi.ribbon import sample
+from belyi.ribbon import derive_seed, sample
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -217,6 +217,10 @@ class TestFarey:
         code, out, err = run_cli(capsys, "farey", "--l", "63")
         assert code == 2
         assert out == "" and "exceeds cap" in err
+        # the cap is what keeps a huge l from the descent and from n_bound
+        code, out, err = run_cli(capsys, "farey", "--l", "1e12")
+        assert code == 2
+        assert out == "" and "exceeds cap" in err
 
     def test_invalid_l(self, capsys):
         code, _, _ = run_cli(capsys, "farey", "--l", "0")
@@ -244,6 +248,15 @@ class TestVerify:
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 2
+
+    def test_broken_invariant_fails_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "invariant_failures", lambda g, fd, division: ["boom"])
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "identities", "--seeds", "1", "--n", "50"
+        )
+        assert code == 1
+        seed = derive_seed(0, "identities", 0)
+        assert out == f"suite identities: FAIL: n=50, seed={seed}: boom\n"
 
     def test_small_n_passes(self, capsys):
         # at n = 3 a cut's two sides can differ by more than 1 (odd degree)
@@ -323,11 +336,19 @@ class TestGrid:
         digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
         assert digest == "85626656a6c741cf27f075d6bb31a73a88349b19941e37e2a278ea054cbccf00"
 
-    def test_bad_n_list(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            capsys, "grid", "--n-list", "10,x", "--trials", "1", "--out", str(tmp_path)
+    @pytest.mark.parametrize(
+        "n_list, trials",
+        [("2", "1"), ("10", "0"), (",", "1"), ("10,x", "1")],
+        ids=["n-below-3", "zero-trials", "empty-list", "unparsable"],
+    )
+    def test_bad_n_list(self, capsys, tmp_path, n_list, trials):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            capsys, "grid", "--n-list", n_list, "--trials", trials, "--out", str(out_dir)
         )
         assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("l", ["0", "-1", "inf", "nan"])
     def test_nonpositive_s2_l_exits_2_before_running(self, capsys, tmp_path, l):

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from belyi.cusps import CuspPartition, has_large_cusps, partition_cusps
+from belyi.cusps import CuspPartition, develop_strip, has_large_cusps, partition_cusps
 from belyi.farey import (
-    DepthCapExceeded,
     FareyTriangle,
     LevelCapExceeded,
     OutOfOrder,
@@ -94,8 +93,6 @@ class TestEnumerateLevel:
     def test_level_cap(self):
         with pytest.raises(LevelCapExceeded):
             enumerate_level(31)
-        with pytest.raises(LevelCapExceeded):
-            enumerate_level(5, level_cap=4)
 
     def test_invalid_level(self):
         with pytest.raises(ValueError):
@@ -167,7 +164,7 @@ class TestCounts:
 
     def test_level_cap_for_enormous_l(self):
         with pytest.raises(LevelCapExceeded):
-            count_intersecting(100, level_cap=30)
+            count_intersecting(100)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -190,6 +187,8 @@ class TestLengthCheck:
             lambda l: count_intersecting(l),
             lambda l: develop_horoball(g, fd, 0, l),
             lambda l: classify_segments(g, fd, partition, l),
+            n_bound,
+            m_bound,
         ]
         for call in calls:
             for l in (0, -1.5):
@@ -274,11 +273,18 @@ class TestHoroballFootprint:
                             assert dt.entry_edge // 3 == dt.surface_triangle
                         assert 0 <= dt.surface_triangle < g.num_vertices
 
-    def test_depth_cap_guard(self):
-        g = from_matching(1, THETA_SPHERE)
-        fd = faces(g)
-        with pytest.raises(DepthCapExceeded):
-            develop_horoball(g, fd, 0, 40, depth_cap=0)
+    @pytest.mark.parametrize("l", [6, 20, 37.5])
+    def test_depth_below_l_over_2d(self, l):
+        # every triangle under develop_horoball's predicate has 2 d_j depth < l
+        lq = F(l)
+        for s in range(3):
+            fd = faces(sample(200, derive_seed(23, s)))
+            for j, d_j in enumerate(fd.degrees):
+                if d_j > lq:
+                    continue
+                enter = lambda p, r, d_j=d_j: 2 * d_j * p[1] * r[1] < lq
+                for _, _, _, depth in develop_strip(fd, j, enter):
+                    assert 2 * d_j * depth < lq
 
 
 def develop_strips(g, fd, l):
