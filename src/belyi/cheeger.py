@@ -31,10 +31,8 @@ from .farey import m_bound
 from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
-    "CuspNotInI1",
     "EmptyI1",
     "DisconnectedSurface",
-    "ParameterOutOfRange",
     "HypothesisNotMet",
     "CuspCut",
     "Division",
@@ -52,20 +50,12 @@ __all__ = [
 _LABEL_OF_VOTE = bytes.maketrans(b"\x00\x01", b"BA")
 
 
-class CuspNotInI1(ValueError):
-    """Cut construction is defined only for cusps above the degree threshold."""
-
-
 class EmptyI1(RuntimeError):
     """No cusp exceeds the degree threshold; no cut is fabricated."""
 
 
 class DisconnectedSurface(RuntimeError):
     """The pipeline needs a connected surface."""
-
-
-class ParameterOutOfRange(ValueError):
-    """A certificate or cut parameter violates its admissible range."""
 
 
 class HypothesisNotMet(RuntimeError):
@@ -142,15 +132,14 @@ def build_cusp_cut(face_id: int, d: int, n: int, y_factor: float = 1.0) -> CuspC
     log(y) and a width-k horocyclic arc at height y.  Side 1, the k-wide
     box between heights 1 and y, has area k * (1 - 1/y).
     """
-    if n < 3:
-        raise ParameterOutOfRange(f"n must be >= 3, got {n}")
+    threshold = degree_threshold(n)
     if not 0 < y_factor < math.inf:
-        raise ParameterOutOfRange(f"y_factor must be positive and finite, got {y_factor}")
-    if d <= degree_threshold(n):
-        raise CuspNotInI1(f"cusp {face_id} has degree {d} <= threshold {degree_threshold(n)}")
+        raise ValueError(f"y_factor must be positive and finite, got {y_factor}")
+    if d <= threshold:
+        raise ValueError(f"cusp {face_id} has degree {d} <= threshold {threshold}")
     y = y_factor * n * d
     if y <= 1.0:
-        raise ParameterOutOfRange(f"cut height y={y} must exceed the canonical loop height 1")
+        raise ValueError(f"cut height y={y} must exceed the canonical loop height 1")
     k = d // 2
     eta_length = 2.0 * math.log(y) + k / y
     side1 = k * (1.0 - 1.0 / y)
@@ -213,7 +202,7 @@ def cheeger_upper_bound(
         + tri_area * (num_v - num_a_triangles)
     )
     if not (area_a > 0 and area_b > 0):
-        raise ParameterOutOfRange("both sides of the division must have positive area")
+        raise ValueError("both sides of the division must have positive area")
 
     return Division(
         n=g.n,
@@ -238,15 +227,13 @@ def certificate(epsilon: float, c: float, l: float, n: int) -> Certificate:
     probability floor 1 - 2/c for the sampled family the bounds target.
     """
     if epsilon <= 0:
-        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if c <= 0:
-        raise ParameterOutOfRange(f"c must be positive, got {c}")
-    if l <= 0:
-        raise ParameterOutOfRange(f"l must be positive, got {l}")
+        raise ValueError(f"c must be positive, got {c}")
     if n < 3:
-        raise ParameterOutOfRange(f"n must be >= 3, got {n}")
+        raise ValueError(f"n must be >= 3, got {n}")
     log_n = math.log(n)
-    big_m = m_bound(l)
+    big_m = m_bound(l)  # rejects l <= 0 (cusps.exact_l)
     lambda_ = (
         (1.0 / (2.0 * (1.0 + epsilon) ** 2))
         * (1.0 - 2.0 * c * big_m * log_n**3 / n)
@@ -271,13 +258,12 @@ def in_f_star(fd: FaceDecomposition, epsilon_l: float, c: float, n: int) -> bool
     (Brooks-Makover); the probability floor 1 - 2/c of ``certificate``
     for F* rests on it.
     """
-    if epsilon_l <= 0:
-        raise ParameterOutOfRange(f"epsilon_l must be positive, got {epsilon_l}")
     if c <= 0:
-        raise ParameterOutOfRange(f"c must be positive, got {c}")
+        raise ValueError(f"c must be positive, got {c}")
     if n < 3:
-        raise ParameterOutOfRange(f"n must be >= 3, got {n}")
-    return fd.lht <= c * math.log(n) and has_large_cusps(fd, epsilon_l)
+        raise ValueError(f"n must be >= 3, got {n}")
+    # has_large_cusps first, so that it rejects epsilon_l <= 0 on every call
+    return has_large_cusps(fd, epsilon_l) and fd.lht <= c * math.log(n)
 
 
 def sum_degrees_i1_bound_check(

@@ -9,8 +9,9 @@ row, on surfaces from their own seed streams; ``farey`` checks the Farey
 counts and bounds.
 Exit codes: 0 ok, 1 invariant failure (a counterexample, so a bug),
 2 usage or validation error (including a length or height that is not
-a positive finite number, or a worker count below 1, rejected while
-parsing), 3 no large cusp to cut.
+a positive finite number, or a worker or seed count below 1, rejected
+while parsing), 3 no large cusp to cut.  ``main`` alone maps errors to
+these codes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import cheeger as cheeger_mod
-from . import cusps, experiments, farey, ribbon
+from . import experiments, farey, ribbon
 
 __all__ = ["main"]
 
@@ -96,7 +97,7 @@ def _cmd_cheeger(args) -> int:
     if args.graph:
         try:
             g = _load_graph(args.graph)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             return _fail(f"cannot read graph: {exc}")
     else:
         if args.n is None or args.seed is None:
@@ -104,13 +105,7 @@ def _cmd_cheeger(args) -> int:
         g = ribbon.sample(args.n, args.seed)
         seed = args.seed
     fd = ribbon.faces(g)
-    try:
-        division = cheeger_mod.cheeger_upper_bound(g, fd, g.n, args.y_factor)
-    except cheeger_mod.EmptyI1 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_I1
-    except (cheeger_mod.DisconnectedSurface, cusps.NTooSmall, ValueError) as exc:
-        return _fail(str(exc))
+    division = cheeger_mod.cheeger_upper_bound(g, fd, g.n, args.y_factor)
     print(
         _dump_json(
             {
@@ -132,26 +127,23 @@ def _cmd_cheeger(args) -> int:
 
 
 def _cmd_farey(args) -> int:
-    try:
-        out = {
-            "l": args.l,
-            "count_intersecting": farey.count_intersecting(args.l),
-            "n_bound": farey.n_bound(args.l),
-            "m_bound": farey.m_bound(args.l),
-        }
-        if args.level is not None:
-            triangles = farey.enumerate_level(args.level)
-            out["level"] = args.level
-            out["triangles"] = [
-                {
-                    "left": _frac_str(t.left),
-                    "apex": _frac_str(t.apex),
-                    "right": _frac_str(t.right),
-                }
-                for t in triangles
-            ]
-    except farey.LevelCapExceeded as exc:
-        return _fail(str(exc))
+    out = {
+        "l": args.l,
+        "count_intersecting": farey.count_intersecting(args.l),
+        "n_bound": farey.n_bound(args.l),
+        "m_bound": farey.m_bound(args.l),
+    }
+    if args.level is not None:
+        triangles = farey.enumerate_level(args.level)
+        out["level"] = args.level
+        out["triangles"] = [
+            {
+                "left": _frac_str(t.left),
+                "apex": _frac_str(t.apex),
+                "right": _frac_str(t.right),
+            }
+            for t in triangles
+        ]
     print(_dump_json(out))
     return EXIT_OK
 
@@ -218,8 +210,6 @@ def _suite_farey() -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    if args.seeds < 1:
-        return _fail(f"--seeds must be >= 1, got {args.seeds}")
     if args.n < 3:
         return _fail(f"--n must be >= 3, got {args.n}")
     suites = ["identities", "farey", "division"] if args.suite == "all" else [args.suite]
@@ -269,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["identities", "farey", "division", "all"],
         default="all",
     )
-    p.add_argument("--seeds", type=int, default=100, help="number of sampled surfaces")
+    p.add_argument("--seeds", type=_positive_int, default=100, help="number of sampled surfaces")
     p.add_argument("--n", type=int, default=100, help="size parameter for samples")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--y-factor", type=_positive_finite, default=1.0)
@@ -307,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except ribbon.BrokenInvariant as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except cheeger_mod.EmptyI1 as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EMPTY_I1
     except (ValueError, OSError, RuntimeError) as exc:
         return _fail(str(exc))
 

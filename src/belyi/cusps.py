@@ -25,7 +25,6 @@ from typing import Callable, Iterator
 from .ribbon import FaceDecomposition, rotation
 
 __all__ = [
-    "NTooSmall",
     "CuspPartition",
     "surface_area",
     "small_triangle_area",
@@ -34,10 +33,6 @@ __all__ = [
     "has_large_cusps",
     "develop_strip",
 ]
-
-
-class NTooSmall(ValueError):
-    """The degree threshold n / (log n)^2 needs n >= 3."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ def exact_l(l) -> Fraction:
 def degree_threshold(n: int) -> float:
     """The large-cusp degree cutoff n / (log n)^2; needs n >= 3."""
     if n < 3:
-        raise NTooSmall(f"n must be >= 3 so that log n > 1, got {n}")
+        raise ValueError(f"n must be >= 3 so that log n > 1, got {n}")
     return n / math.log(n) ** 2
 
 
@@ -132,7 +127,7 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
             # lifts t+1 (dart rotation(c)) and t (dart rotation^2(c))
             if d_j * min(degree_of(rotation(c)), degree_of(rotation(rotation(c)))) <= l2:
                 return False
-        for a, p, r, _ in develop_strip(fd, j, lambda p, r: d_j * (p[1] + r[1]) ** 2 <= l2):
+        for a, p, r in develop_strip(fd, j, lambda p, r: d_j * (p[1] + r[1]) ** 2 <= l2):
             q = p[1] + r[1]
             if d_j * degree_of(rotation(rotation(a))) * q * q <= l2:
                 return False
@@ -141,7 +136,7 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
 
 def develop_strip(
     fd: FaceDecomposition, j: int, enter: Callable[[tuple, tuple], bool]
-) -> Iterator[tuple[int, tuple, tuple, int]]:
+) -> Iterator[tuple[int, tuple, tuple]]:
     """Breadth-first development of cusp j's strip below its top row.
 
     The width-d strip of a degree-d cusp has one top-row triangle over
@@ -155,22 +150,22 @@ def develop_strip(
     (p, m) are entered through matching[rotation(a)] and
     matching[rotation(rotation(a))].
 
-    Yields (a, p, r, depth), depth 1 under the top row, with p and r as
-    (numerator, denominator) pairs.  A triangle is entered only when
+    Yields (a, p, r), each triangle before its children, with p and r
+    as (numerator, denominator) pairs.  A triangle is entered only when
     ``enter(p, r)`` holds, so ``enter`` must fail for large denominators.
     """
     matching = fd.matching
-    queue: deque[tuple[int, tuple, tuple, int]] = deque()
+    queue: deque[tuple[int, tuple, tuple]] = deque()
     for t, c in enumerate(fd.faces[j]):
         p, r = (t, 1), (t + 1, 1)
         if enter(p, r):
-            queue.append((matching[rotation(c)], p, r, 1))
+            queue.append((matching[rotation(c)], p, r))
     while queue:
-        a, p, r, depth = item = queue.popleft()
+        a, p, r = item = queue.popleft()
         yield item
         m = (p[0] + r[0], p[1] + r[1])
         if enter(m, r):
-            queue.append((matching[rotation(a)], m, r, depth + 1))
+            queue.append((matching[rotation(a)], m, r))
         if enter(p, m):
-            queue.append((matching[rotation(rotation(a))], p, m, depth + 1))
+            queue.append((matching[rotation(rotation(a))], p, m))
 

@@ -30,8 +30,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_H_THRESHOLD",
     "CSV_COLUMNS",
-    "InsufficientData",
-    "NoUsableRows",
     "TrialRecord",
     "SummaryStats",
     "run_trial",
@@ -69,14 +67,6 @@ CSV_COLUMNS = [
     "s2_size",
     "wall_time_ms",
 ]
-
-
-class InsufficientData(ValueError):
-    """Not enough grid points or trials for the requested fit."""
-
-
-class NoUsableRows(ValueError):
-    """No rows with a computed bound at the requested n."""
 
 
 @dataclass(frozen=True)
@@ -270,7 +260,7 @@ def lht_growth_fit(records: Sequence[TrialRecord]) -> tuple[float, float]:
     for rec in records:
         by_n.setdefault(rec.n, []).append(rec.lht)
     if len(by_n) < 3 or any(len(v) < 30 for v in by_n.values()):
-        raise InsufficientData(
+        raise ValueError(
             "need >= 3 distinct n values with >= 30 trials each, got "
             + ", ".join(f"n={n}:{len(v)}" for n, v in sorted(by_n.items()))
         )
@@ -292,7 +282,7 @@ def h_fraction_below(records: Sequence[TrialRecord], threshold: float) -> float:
         raise ValueError(f"records must share a single n, got {sorted(ns)}")
     usable = [rec for rec in records if rec.h_upper is not None]
     if not usable:
-        raise NoUsableRows("no rows with a computed h_upper")
+        raise ValueError("no rows with a computed h_upper")
     return sum(1 for rec in usable if rec.h_upper < threshold) / len(usable)
 
 
@@ -301,7 +291,7 @@ def summarize(
 ) -> SummaryStats:
     rows = [rec for rec in records if rec.n == n]
     if not rows:
-        raise NoUsableRows(f"no records at n={n}")
+        raise ValueError(f"no records at n={n}")
     usable = [rec for rec in rows if rec.h_upper is not None]
     lhts = [rec.lht for rec in rows]
     fraction = h_fraction_below(usable, h_threshold) if usable else None

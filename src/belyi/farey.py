@@ -26,8 +26,6 @@ from .cusps import CuspPartition, develop_strip, exact_l
 from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
-    "OutOfOrder",
-    "LevelCapExceeded",
     "FareyTriangle",
     "DevelopedTriangle",
     "mediant",
@@ -46,14 +44,6 @@ __all__ = [
 LEVEL_CAP = 30
 
 
-class OutOfOrder(ValueError):
-    """Mediant endpoints must satisfy p < q."""
-
-
-class LevelCapExceeded(ValueError):
-    """Requested subdivision level exceeds ``LEVEL_CAP``."""
-
-
 def mediant(p: Fraction, q: Fraction) -> Fraction:
     """Mediant (a+c)/(b+d) of p = a/b < q = c/d.
 
@@ -63,7 +53,7 @@ def mediant(p: Fraction, q: Fraction) -> Fraction:
     p = Fraction(p)
     q = Fraction(q)
     if not p < q:
-        raise OutOfOrder(f"need p < q, got p={p}, q={q}")
+        raise ValueError(f"need p < q, got p={p}, q={q}")
     return Fraction(p.numerator + q.numerator, p.denominator + q.denominator)
 
 
@@ -75,14 +65,6 @@ class FareyTriangle:
     apex: Fraction
     right: Fraction
     level: int
-
-    def __post_init__(self):
-        if not self.left < self.apex < self.right:
-            raise OutOfOrder(f"vertices out of order: {self.left}, {self.apex}, {self.right}")
-        if self.apex != mediant(self.left, self.right):
-            raise ValueError("apex must be the mediant of the outer vertices")
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,7 +87,7 @@ def vertex_row(m: int) -> list[Fraction]:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m > LEVEL_CAP:
-        raise LevelCapExceeded(f"m={m} exceeds cap {LEVEL_CAP}")
+        raise ValueError(f"m={m} exceeds cap {LEVEL_CAP}")
     row = [Fraction(0), Fraction(1)]
     for _ in range(m):
         nxt = []
@@ -122,7 +104,7 @@ def enumerate_level(m: int) -> list[FareyTriangle]:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > LEVEL_CAP:
-        raise LevelCapExceeded(f"m={m} exceeds cap {LEVEL_CAP}")
+        raise ValueError(f"m={m} exceeds cap {LEVEL_CAP}")
     row = vertex_row(m - 1)
     return [
         FareyTriangle(a, mediant(a, b), b, m) for a, b in zip(row, row[1:])
@@ -155,7 +137,7 @@ def count_intersecting(l) -> int:
     lq = exact_l(l)
     deepest = math.ceil(lq / 2) - 1  # levels with 2m >= l cannot reach the strip
     if deepest > LEVEL_CAP:
-        raise LevelCapExceeded(f"needed level {deepest} exceeds cap {LEVEL_CAP}")
+        raise ValueError(f"needed level {deepest} exceeds cap {LEVEL_CAP}")
     count = 0
     stack = [(1, 1)]
     while stack:
@@ -203,7 +185,7 @@ def develop_horoball(
         DevelopedTriangle(corner // 3, None, (Fraction(t), math.inf, Fraction(t + 1)))
         for t, corner in enumerate(fd.faces[j])
     ]
-    for a, p, r, _ in develop_strip(fd, j, lambda p, r: 2 * d_j * p[1] * r[1] < lq):
+    for a, p, r in develop_strip(fd, j, lambda p, r: 2 * d_j * p[1] * r[1] < lq):
         mid = Fraction(p[0] + r[0], p[1] + r[1])
         out.append(DevelopedTriangle(a // 3, a, (Fraction(*p), mid, Fraction(*r))))
     return out

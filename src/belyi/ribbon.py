@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 __all__ = [
-    "DuplicateDart",
-    "SelfPairedDart",
-    "WrongDartCount",
-    "MalformedMatching",
     "BrokenInvariant",
-    "MaxRejectionsExceeded",
     "RibbonGraph",
     "FaceDecomposition",
     "rotation",
@@ -42,40 +37,12 @@ __all__ = [
 ]
 
 
-class DuplicateDart(ValueError):
-    """A dart appears in more than one pair of a matching."""
-
-    def __init__(self, dart: int):
-        self.dart = dart
-        super().__init__(f"dart {dart} appears in more than one pair")
-
-
-class SelfPairedDart(ValueError):
-    """A matching pair of the form (d, d); the pairing must be fixed-point free."""
-
-    def __init__(self, dart: int):
-        self.dart = dart
-        super().__init__(f"dart {dart} is paired with itself")
-
-
-class WrongDartCount(ValueError):
-    """The matching does not cover [0, 6n) exactly."""
-
-    def __init__(self, dart: int | None, reason: str):
-        self.dart = dart
-        super().__init__(reason if dart is None else f"dart {dart} {reason}")
-
-
-class MalformedMatching(ValueError):
-    """A matching or size parameter of the wrong type or shape."""
+# redraws ``sample_connected`` makes before it gives up
+MAX_REJECTIONS = 10_000
 
 
 class BrokenInvariant(RuntimeError):
     """A face trace contradicts the Euler characteristic of a cubic graph."""
-
-
-class MaxRejectionsExceeded(RuntimeError):
-    """Rejection sampling for a connected graph exhausted its budget."""
 
 
 def rotation(dart: int) -> int:
@@ -130,9 +97,9 @@ class RibbonGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RibbonGraph":
         """Validated graph from ``{"n": int, "matching": [[a, b], ...]}``."""
-        if not isinstance(data, dict) or not isinstance(data["matching"], list):
-            raise MalformedMatching("a graph is an object with an integer n and a list of dart pairs")
-        return from_matching(data["n"], data["matching"])
+        if not isinstance(data, dict) or not isinstance(data.get("matching"), list):
+            raise ValueError("a graph is an object with an integer n and a list of dart pairs")
+        return from_matching(data.get("n"), data["matching"])
 
 
 @dataclass(frozen=True)
@@ -178,32 +145,32 @@ def from_matching(n: int, matching: Iterable[Sequence[int]]) -> RibbonGraph:
     6n-entry partner list is allocated.
     """
     if type(n) is not int:
-        raise MalformedMatching(f"n must be an integer, got {n!r}")
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if isinstance(matching, Sized) and len(matching) != 3 * n:
-        raise WrongDartCount(None, f"matching has {len(matching)} pairs, expected 3n = {3 * n}")
+        raise ValueError(f"matching has {len(matching)} pairs, expected 3n = {3 * n}")
     total = 6 * n
     alpha = [-1] * total
     for pair in matching:
         try:
             a, b = pair
         except (TypeError, ValueError):
-            raise MalformedMatching(f"matching entry {pair!r} is not a pair of darts") from None
+            raise ValueError(f"matching entry {pair!r} is not a pair of darts") from None
         if type(a) is not int or type(b) is not int:
-            raise MalformedMatching(f"matching entry {pair!r} has a dart that is not an integer")
+            raise ValueError(f"matching entry {pair!r} has a dart that is not an integer")
         if a == b:
-            raise SelfPairedDart(a)
+            raise ValueError(f"dart {a} is paired with itself")
         for d in (a, b):
             if not 0 <= d < total:
-                raise WrongDartCount(d, "is outside [0, 6n)")
+                raise ValueError(f"dart {d} is outside [0, 6n)")
             if alpha[d] != -1:
-                raise DuplicateDart(d)
+                raise ValueError(f"dart {d} appears in more than one pair")
         alpha[a] = b
         alpha[b] = a
     for d in range(total):
         if alpha[d] == -1:
-            raise WrongDartCount(d, "is not covered by any pair")
+            raise ValueError(f"dart {d} is not covered by any pair")
     return RibbonGraph(n, tuple(alpha))
 
 
@@ -243,25 +210,21 @@ def sample(n: int, seed: int) -> RibbonGraph:
     return RibbonGraph(n, tuple(alpha))
 
 
-def sample_connected(
-    n: int, seed: int, max_rejections: int = 10_000
-) -> tuple[RibbonGraph, FaceDecomposition]:
+def sample_connected(n: int, seed: int) -> tuple[RibbonGraph, FaceDecomposition]:
     """First connected graph along a deterministic seed sequence, with
     the faces traced to test its connectivity.
 
     Attempt 0 reuses ``seed`` itself (so the result agrees with
     ``sample`` whenever that draw is already connected); attempt k > 0
-    uses ``derive_seed(seed, k)``.
+    uses ``derive_seed(seed, k)``, up to k = ``MAX_REJECTIONS``.
     """
-    for attempt in range(max_rejections + 1):
+    for attempt in range(MAX_REJECTIONS + 1):
         s = seed if attempt == 0 else derive_seed(seed, attempt)
         g = sample(n, s)
         fd = faces(g)
         if fd.connected:
             return g, fd
-    raise MaxRejectionsExceeded(
-        f"no connected sample for n={n} after {max_rejections} rejections"
-    )
+    raise RuntimeError(f"no connected sample for n={n} after {MAX_REJECTIONS} rejections")
 
 
 def faces(g: RibbonGraph) -> FaceDecomposition:

@@ -2,15 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import pytest
 
 from belyi.cheeger import (
-    CuspNotInI1,
     DisconnectedSurface,
     EmptyI1,
     HypothesisNotMet,
-    ParameterOutOfRange,
     build_cusp_cut,
     certificate,
     cheeger_upper_bound,
@@ -18,8 +17,17 @@ from belyi.cheeger import (
     invariant_failures,
     sum_degrees_i1_bound_check,
 )
-from belyi.cusps import partition_cusps, surface_area
+from belyi.cusps import degree_threshold, partition_cusps, surface_area
 from belyi.ribbon import derive_seed, faces, from_matching, rotation, sample
+
+
+def _largest_cusp_moved_to_i2(fd, partition):
+    big = max(partition.i1, key=fd.degrees.__getitem__)
+    return dataclasses.replace(partition, i1=partition.i1 - {big}, i2=partition.i2 | {big})
+
+
+def _one_degree_raised(fd):
+    return dataclasses.replace(fd, degrees=(fd.degrees[0] + 1,) + fd.degrees[1:])
 
 
 def pipeline(n, seed, y_factor=1.0):
@@ -62,14 +70,16 @@ class TestBuildCuspCut:
         assert arcs[0] > arcs[1] > arcs[2]
 
     def test_small_cusp_rejected(self):
-        with pytest.raises(CuspNotInI1):
+        message = f"cusp 0 has degree 2 <= threshold {degree_threshold(1000)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_cusp_cut(0, 2, 1000)
 
     def test_bad_parameters(self):
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(ValueError, match=r"^n must be >= 3 so that log n > 1, got 2$"):
             build_cusp_cut(0, 100, 2)
         for y_factor in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ParameterOutOfRange):
+            message = f"y_factor must be positive and finite, got {y_factor}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build_cusp_cut(0, 100, 1000, y_factor)
 
 
@@ -102,7 +112,8 @@ class TestAssignLabels:
             small = division.partition.i2
             assert not small & {c.face_id for c in division.cuts}
             for j in small:
-                with pytest.raises(CuspNotInI1):
+                message = f"cusp {j} has degree {fd.degrees[j]} <= threshold {degree_threshold(30)}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     build_cusp_cut(j, fd.degrees[j], 30)
                 checked += 1
         assert checked > 0
@@ -228,13 +239,12 @@ class TestCertificate:
         )
 
     def test_parameter_validation(self):
-        with pytest.raises(ParameterOutOfRange):
+        # nonpositive l: test_farey.py TestLengthCheck
+        with pytest.raises(ValueError, match=r"^epsilon must be positive, got 0$"):
             certificate(0, 1, 4, 100)
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(ValueError, match=r"^c must be positive, got 0$"):
             certificate(0.1, 0, 4, 100)
-        with pytest.raises(ParameterOutOfRange):
-            certificate(0.1, 1, 0, 100)
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
             certificate(0.1, 1, 4, 2)
 
 
@@ -261,9 +271,11 @@ class TestInFStar:
         assert in_f_star(fd, 3.32, 10, 100) is False
 
     def test_nonpositive_l(self):
+        # l is checked even where the lht cap alone would answer False
         fd = faces(from_matching(1, [(0, 3), (1, 4), (2, 5)]))
-        with pytest.raises(ParameterOutOfRange):
-            in_f_star(fd, 0, 10, 100)
+        for c in (10, 0.01):
+            with pytest.raises(ValueError, match=r"^l must be positive, got 0$"):
+                in_f_star(fd, 0, c, 100)
 
 
 class TestDegreeMassBound:
@@ -359,23 +371,46 @@ class TestInvariantFailures:
     @pytest.mark.parametrize(
         "change, message",
         [
-            (lambda d, n: {"area_a": d.area_a + 1}, "division areas do not conserve"),
-            (lambda d, n: {"h_upper": d.h_upper * 2}, "quotient inconsistent"),
-            (lambda d, n: {"boundary_length": d.boundary_length + n}, "boundary length exceeds"),
+            (lambda fd, d, n: {"area_a": d.area_a + 1}, "division areas do not conserve"),
+            (lambda fd, d, n: {"h_upper": d.h_upper * 2}, "quotient inconsistent"),
             (
-                lambda d, n: {
+                lambda fd, d, n: {"boundary_length": d.boundary_length + n},
+                "boundary length exceeds",
+            ),
+            (
+                lambda fd, d, n: {
                     "boundary_segments": d.boundary_segments
                     | {rotation(min(d.boundary_segments))}
                 },
                 "more than one boundary dart",
             ),
+            (
+                lambda fd, d, n: {
+                    "partition": dataclasses.replace(
+                        d.partition, i2=d.partition.i2 - {min(d.partition.i2)}
+                    )
+                },
+                "partition does not cover the degrees",
+            ),
+            (
+                lambda fd, d, n: {"partition": _largest_cusp_moved_to_i2(fd, d.partition)},
+                "large-cusp degree mass below its floor",
+            ),
+            (
+                lambda fd, d, n: {"area_a": 0.1, "area_b": 2 * math.pi * n - 0.1},
+                "area imbalance beyond allowance",
+            ),
+            (lambda fd, d, n: {"fd": _one_degree_raised(fd)}, "degree sum"),
+            (lambda fd, d, n: {"fd": _one_degree_raised(fd)}, "triangle + cusp area"),
         ],
     )
     def test_corrupted_division_flagged(self, change, message):
         g, fd, division = pipeline(100, 5)
         assert invariant_failures(g, fd, division) == []
-        bad = dataclasses.replace(division, **change(division, 100))
-        assert any(message in m for m in invariant_failures(g, fd, bad))
+        changes = change(fd, division, 100)
+        bad_fd = changes.pop("fd", fd)
+        failures = invariant_failures(g, bad_fd, dataclasses.replace(division, **changes))
+        assert any(message in m for m in failures), failures
 
     def test_wrong_genus_flagged(self):
         g, fd, division = pipeline(100, 5)

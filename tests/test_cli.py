@@ -154,6 +154,34 @@ class TestCheeger:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"matching": []}',
+            '{"n": 4}',
+            json.dumps([1, [[0, 3], [1, 4], [2, 5]]]),
+            json.dumps({"n": 1, "matching": [[0, 0], [1, 4], [2, 5]]}),
+            "not json",
+            None,
+        ],
+        ids=["no-n", "no-matching", "list", "self-paired", "not-json", "missing-file"],
+    )
+    def test_unreadable_graph_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(capsys, "cheeger", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read graph: ")
+
+    def test_neither_graph_nor_sample_exits_2(self, capsys):
+        for argv in ((), ("--n", "10"), ("--seed", "1")):
+            code, out, err = run_cli(capsys, "cheeger", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: either --graph or both --n and --seed are required\n"
+
     def test_huge_n_short_matching_exits_2(self, capsys, tmp_path):
         # rejected on its pair count, before a 6n-entry list is allocated
         path = tmp_path / "huge.json"
@@ -248,6 +276,14 @@ class TestVerify:
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 2
+
+    def test_bad_seed_count_or_n_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seeds", "0")
+        assert code == 2
+        assert out == "" and "--seeds: must be a positive integer, got '0'" in err
+        code, out, err = run_cli(capsys, "verify", "--n", "2")
+        assert code == 2
+        assert out == "" and err == "error: --n must be >= 3, got 2\n"
 
     def test_broken_invariant_fails_suite(self, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "invariant_failures", lambda g, fd, division: ["boom"])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from belyi.cusps import (
-    NTooSmall,
     degree_threshold,
     has_large_cusps,
     has_large_cusps_proxy,
@@ -103,7 +102,7 @@ class TestPartition:
 
     def test_n_too_small(self):
         fd = faces(sample(2, 1))
-        with pytest.raises(NTooSmall):
+        with pytest.raises(ValueError, match=r"^n must be >= 3 so that log n > 1, got 2$"):
             partition_cusps(fd, 2)
 
 

@@ -12,8 +12,6 @@ from belyi import experiments
 from belyi.cheeger import EmptyI1
 from belyi.experiments import (
     CSV_COLUMNS,
-    InsufficientData,
-    NoUsableRows,
     TrialRecord,
     h_fraction_below,
     lht_growth_fit,
@@ -217,12 +215,17 @@ class TestLhtGrowthFit:
 
     def test_two_n_values_insufficient(self):
         records = [synthetic_record(n, 5) for n in (10, 100) for _ in range(30)]
-        with pytest.raises(InsufficientData):
+        message = r"^need >= 3 distinct n values with >= 30 trials each, got n=10:30, n=100:30$"
+        with pytest.raises(ValueError, match=message):
             lht_growth_fit(records)
 
     def test_too_few_trials_insufficient(self):
         records = [synthetic_record(n, 5) for n in (10, 100, 1000) for _ in range(10)]
-        with pytest.raises(InsufficientData):
+        message = (
+            r"^need >= 3 distinct n values with >= 30 trials each, "
+            r"got n=10:10, n=100:10, n=1000:10$"
+        )
+        with pytest.raises(ValueError, match=message):
             lht_growth_fit(records)
 
 
@@ -253,7 +256,7 @@ class TestHFractionBelow:
             num_i1=None, boundary_length=None, area_a=None, area_b=None,
             h_upper=None, s2_size=None, wall_time_ms=0,
         )
-        with pytest.raises(NoUsableRows):
+        with pytest.raises(ValueError, match=r"^no rows with a computed h_upper$"):
             h_fraction_below([failed], 1.0)
 
 
@@ -267,7 +270,7 @@ class TestSummarize:
         assert stats.fraction_h_below == 1.0
 
     def test_missing_n(self):
-        with pytest.raises(NoUsableRows):
+        with pytest.raises(ValueError, match=r"^no records at n=999$"):
             summarize([synthetic_record(10, 4)], 999)
 
 

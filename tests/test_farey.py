@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from belyi.cheeger import certificate, in_f_star
 from belyi.cusps import CuspPartition, develop_strip, has_large_cusps, partition_cusps
 from belyi.farey import (
     FareyTriangle,
-    LevelCapExceeded,
-    OutOfOrder,
     classify_segments,
     count_intersecting,
     develop_horoball,
@@ -42,9 +41,9 @@ class TestMediant:
         assert math.gcd(m.numerator, m.denominator) == 1
 
     def test_out_of_order(self):
-        with pytest.raises(OutOfOrder):
+        with pytest.raises(ValueError, match=r"^need p < q, got p=1/2, q=1/3$"):
             mediant(F(1, 2), F(1, 3))
-        with pytest.raises(OutOfOrder):
+        with pytest.raises(ValueError, match=r"^need p < q, got p=1/2, q=1/2$"):
             mediant(F(1, 2), F(1, 2))
 
 
@@ -91,12 +90,19 @@ class TestEnumerateLevel:
                 assert F(0) < t.apex < F(1)
 
     def test_level_cap(self):
-        with pytest.raises(LevelCapExceeded):
+        with pytest.raises(ValueError, match=r"^m=31 exceeds cap 30$"):
             enumerate_level(31)
 
     def test_invalid_level(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
             enumerate_level(0)
+
+    def test_vertex_row_bounds(self):
+        assert vertex_row(0) == [F(0), F(1)]
+        with pytest.raises(ValueError, match=r"^m=31 exceeds cap 30$"):
+            vertex_row(31)
+        with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
+            vertex_row(-1)
 
 
 class TestIntersectsStrip:
@@ -163,7 +169,7 @@ class TestCounts:
         assert count_intersecting(4) == 1  # only the level-1 triangle reaches y > 1/4
 
     def test_level_cap_for_enormous_l(self):
-        with pytest.raises(LevelCapExceeded):
+        with pytest.raises(ValueError, match=r"^needed level 49 exceeds cap 30$"):
             count_intersecting(100)
 
     def test_invalid(self):
@@ -189,6 +195,8 @@ class TestLengthCheck:
             lambda l: classify_segments(g, fd, partition, l),
             n_bound,
             m_bound,
+            lambda l: in_f_star(fd, l, 10, 100),
+            lambda l: certificate(0.1, 1, l, 100),
         ]
         for call in calls:
             for l in (0, -1.5):
@@ -283,8 +291,13 @@ class TestHoroballFootprint:
                 if d_j > lq:
                     continue
                 enter = lambda p, r, d_j=d_j: 2 * d_j * p[1] * r[1] < lq
-                for _, _, _, depth in develop_strip(fd, j, enter):
-                    assert 2 * d_j * depth < lq
+                # breadth first: a triangle is yielded before its children
+                depth = {}
+                for _, p, r in develop_strip(fd, j, enter):
+                    k = depth.get((p, r), 1)
+                    assert 2 * d_j * k < lq
+                    m = (p[0] + r[0], p[1] + r[1])
+                    depth[m, r] = depth[p, m] = k + 1
 
 
 def develop_strips(g, fd, l):
