@@ -114,7 +114,7 @@ def _cmd_cheeger(args) -> int:
                 "lht": fd.lht,
                 "genus": fd.genus,
                 "num_i1": division.num_i1,
-                "boundary_segments": len(division.boundary_segments),
+                "boundary_segments": division.minority.count(1),
                 "boundary_length": division.boundary_length,
                 "area_a": division.area_a,
                 "area_b": division.area_b,

@@ -107,8 +107,9 @@ class FaceDecomposition:
     """Left-hand-turn faces of a ribbon graph.
 
     ``faces`` are the orbits of the face permutation, each listed in
-    walk order starting from its smallest dart; ``degrees`` are the
-    orbit lengths.  ``genus`` is defined only for connected graphs.
+    walk order starting from its smallest dart and holding the int
+    objects of ``matching``, not copies; ``degrees`` are the orbit
+    lengths.  ``genus`` is defined only for connected graphs.
     ``label[d]`` is the 1-based face of dart ``d`` and ``matching`` is
     the traced graph's matching (the same object, not a copy), so later
     layers need not rebuild either; both are left out of ``==``,
@@ -238,6 +239,10 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
     face permutation, so the graph is connected exactly when its faces
     are connected through the three darts of each vertex.  Each dart's
     face label makes that a union-find over the ``lht`` faces alone.
+
+    Each cycle entry is the int object ``g.matching`` already holds for
+    that dart (``m[m[d]]``, which is ``d``), so the 6n entries share the
+    matching's ints instead of allocating 6n new ones.
     """
     total = g.num_darts
     m = g.matching
@@ -253,8 +258,8 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
         d = start
         while not label[d]:
             label[d] = k
-            append(d)
             e = m[d]
+            append(m[e])  # d itself, as the int the matching already holds
             d = e + step[e % 3]
         traced += len(cycle)
         orbits.append(tuple(cycle))

@@ -120,6 +120,40 @@ def test_criterion_4_cheeger_bound_statistics():
     )
 
 
+def test_criterion_4_predicted_values():
+    # the predictions are derived in belyi.cheeger's module docstring; the
+    # spreads 0.45/sqrt(n) and 0.30/sqrt(n) are measured, not binomial: one
+    # face's darts are labelled in a single run, which widens the share's
+    # binomial spread by about 1.4x
+    n = 10**4
+    share_sd = 0.45 / math.sqrt(n)
+    h_sd = 0.30 / math.sqrt(n)
+    share_z, h_z = [], []
+    for k in range(10):
+        g = sample(n, derive_seed(BASE_SEED, "predicted", k))
+        fd = faces(g)
+        if not fd.connected:
+            continue
+        division = cheeger_upper_bound(g, fd, n)
+        mixed = division.minority.count(1)
+        eta = math.fsum(c.eta_length for c in division.cuts)
+        area = min(division.area_a, division.area_b)
+        assert division.h_upper == pytest.approx((mixed + eta) / area, rel=1e-12)
+        share_z.append((mixed / (2 * n) - 0.75) / share_sd)
+        predicted = 3 / (2 * math.pi) + eta / (math.pi * n)
+        h_z.append((division.h_upper - predicted) / h_sd)
+    worst = max(map(abs, share_z + h_z))
+    ok = len(share_z) >= 8 and worst <= 6
+    assert report(
+        4,
+        ok,
+        f"on {len(share_z)} connected samples at n=1e4 the mixed-triangle share "
+        f"is within 6 * 0.45/sqrt(n) of 3/4 and h_upper within 6 * 0.30/sqrt(n) of "
+        f"3/(2 pi) + eta/(pi n) (largest |z| {worst:.2f}); "
+        f"h_upper = (mixed + eta)/min(area) to 1e-12",
+    )
+
+
 def test_criterion_5_farey_suite():
     for m in range(1, 13):
         assert len(enumerate_level(m)) == 2 ** (m - 1)

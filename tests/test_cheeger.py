@@ -30,6 +30,13 @@ def _one_degree_raised(fd):
     return dataclasses.replace(fd, degrees=(fd.degrees[0] + 1,) + fd.degrees[1:])
 
 
+def _second_minority_dart(minority):
+    # also mark rotation(d) for the first minority dart d, in d's triangle
+    mask = bytearray(minority)
+    mask[rotation(minority.index(1))] = 1
+    return bytes(mask)
+
+
 def pipeline(n, seed, y_factor=1.0):
     g = sample(n, seed)
     fd = faces(g)
@@ -149,6 +156,24 @@ class TestAssignLabels:
                     # all three darts agree with the triangle label
                     assert division.triangle_labels[v] in ("A", "B")
             assert len(division.boundary_segments) <= 2 * g.n
+
+    def test_minority_mask(self):
+        # one byte a dart, 1 exactly at the boundary darts, out of repr
+        g, _, division = pipeline(300, 12)
+        assert len(division.minority) == g.num_darts
+        assert set(division.minority) == {0, 1}
+        ones = {d for d, bit in enumerate(division.minority) if bit}
+        assert division.boundary_segments == ones
+        assert "minority" not in repr(division)
+
+    def test_retained_memory_per_dart(self, retained_bytes):
+        # the 6n-byte mask and the 2n-character label string; a set of
+        # minority darts would add about 17 bytes a dart
+        g = sample(10_000, derive_seed(67, "memory"))
+        fd = faces(g)
+        kept, division = retained_bytes(cheeger_upper_bound, g, fd, g.n)
+        assert kept <= 4 * g.num_darts, kept / g.num_darts
+        assert division.minority.count(1) > 0
 
 
 class TestCheegerUpperBound:
@@ -378,10 +403,7 @@ class TestInvariantFailures:
                 "boundary length exceeds",
             ),
             (
-                lambda fd, d, n: {
-                    "boundary_segments": d.boundary_segments
-                    | {rotation(min(d.boundary_segments))}
-                },
+                lambda fd, d, n: {"minority": _second_minority_dart(d.minority)},
                 "more than one boundary dart",
             ),
             (

@@ -4,10 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from belyi.cheeger import cheeger_upper_bound
 from belyi.cusps import (
     degree_threshold,
     has_large_cusps,
@@ -16,7 +17,26 @@ from belyi.cusps import (
     small_triangle_area,
     surface_area,
 )
-from belyi.ribbon import derive_seed, faces, from_matching, sample
+from belyi.ribbon import RibbonGraph, derive_seed, faces, from_matching, sample
+
+
+@st.composite
+def relabelled_graphs(draw, min_n=1, max_n=6):
+    """A graph on a pairing of 6n darts, and the same graph with its
+    vertices permuted and each vertex's darts spun: a relabelling that
+    keeps every vertex rotation."""
+    n = draw(st.integers(min_n, max_n))
+    darts = draw(st.permutations(range(6 * n)))
+    vertices = draw(st.permutations(range(2 * n)))
+    spin = draw(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n))
+    pairs = list(zip(darts[0::2], darts[1::2]))
+
+    def moved(d):
+        v = d // 3
+        return 3 * vertices[v] + (d % 3 + spin[v]) % 3
+
+    return from_matching(n, pairs), from_matching(n, [(moved(a), moved(b)) for a, b in pairs])
+
 
 THETA_TORUS = [(0, 3), (1, 4), (2, 5)]
 THETA_SPHERE = [(0, 3), (1, 5), (2, 4)]
@@ -174,3 +194,31 @@ class TestLargeCusps:
             assert all(fd.label[d] == i + 1 for d in cycle)
         if has_large_cusps_proxy(fd, l):
             assert has_large_cusps(fd, l)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(graphs=relabelled_graphs())
+    def test_property_graph_identities(self, graphs):
+        g, relabelled = graphs
+        n = g.n
+        assert RibbonGraph.from_json_dict(g.to_json_dict()) == g
+        fd, fd2 = faces(g), faces(relabelled)
+        assert sorted(fd2.degrees) == sorted(fd.degrees)
+        assert (fd2.lht, fd2.genus, fd2.connected) == (fd.lht, fd.genus, fd.connected)
+        assert fd.sum_degrees == 6 * n
+        if fd.connected:
+            assert 2 - 2 * fd.genus == fd.lht - n
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(graphs=relabelled_graphs(min_n=3))
+    def test_property_division(self, graphs):
+        g, _ = graphs
+        fd = faces(g)
+        # the division needs n >= 3 (log n > 1); up to n = 6 every
+        # connected graph has a face above the threshold
+        assume(fd.connected)
+        division = cheeger_upper_bound(g, fd, g.n)
+        mask = division.minority
+        assert all(sum(mask[3 * v : 3 * v + 3]) <= 1 for v in range(g.num_vertices))
+        assert division.area_a + division.area_b == pytest.approx(
+            surface_area(g.n), abs=1e-9
+        )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 import re
 
@@ -287,6 +288,24 @@ class TestFaces:
         assert hash(bare) == hash(fd)
         assert repr(bare) == repr(fd)
         assert "label" not in repr(fd) and "matching" not in repr(fd)
+
+    def test_cycle_entries_are_the_matchings_ints(self):
+        # ints above 256 are not cached, so identity holds only if the walk
+        # reuses the matching's objects
+        sampled = sample(2000, derive_seed(67, "shared"))
+        loaded = RibbonGraph.from_json_dict(json.loads(json.dumps(sampled.to_json_dict())))
+        assert loaded == sampled
+        for g in (sampled, loaded):
+            m = g.matching
+            assert all(d is m[m[d]] for cycle in faces(g).faces for d in cycle)
+
+    def test_retained_memory_per_dart(self, retained_bytes):
+        # the cycles' tuples and the label list, 8 bytes a dart each; a new
+        # int per cycle entry would add 32
+        g = sample(10_000, derive_seed(67, "memory"))
+        kept, fd = retained_bytes(faces, g)
+        assert fd.sum_degrees == g.num_darts
+        assert kept <= 24 * g.num_darts, kept / g.num_darts
 
     def test_cycles_anchored_at_minimal_dart(self):
         fd = faces(sample(10, 3))
