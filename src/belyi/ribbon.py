@@ -162,16 +162,17 @@ def from_matching(n: int, matching: Iterable[Sequence[int]]) -> RibbonGraph:
             raise ValueError(f"matching entry {pair!r} has a dart that is not an integer")
         if a == b:
             raise ValueError(f"dart {a} is paired with itself")
-        for d in (a, b):
-            if not 0 <= d < total:
-                raise ValueError(f"dart {d} is outside [0, 6n)")
-            if alpha[d] != -1:
-                raise ValueError(f"dart {d} appears in more than one pair")
+        if not (0 <= a < total and alpha[a] == -1 and 0 <= b < total and alpha[b] == -1):
+            # some check fails; find the first, dart by dart
+            for d in (a, b):
+                if not 0 <= d < total:
+                    raise ValueError(f"dart {d} is outside [0, 6n)")
+                if alpha[d] != -1:
+                    raise ValueError(f"dart {d} appears in more than one pair")
         alpha[a] = b
         alpha[b] = a
-    for d in range(total):
-        if alpha[d] == -1:
-            raise ValueError(f"dart {d} is not covered by any pair")
+    if -1 in alpha:
+        raise ValueError(f"dart {alpha.index(-1)} is not covered by any pair")
     return RibbonGraph(n, tuple(alpha))
 
 
@@ -205,9 +206,11 @@ def sample(n: int, seed: int) -> RibbonGraph:
             darts[i], darts[j] = darts[j], darts[i]
         top = low - 2
     alpha = [0] * total
-    for a, b in zip(darts[0::2], darts[1::2]):
+    it = iter(darts)
+    for a, b in zip(it, it):  # neighbours, without copying half the list twice
         alpha[a] = b
         alpha[b] = a
+    del darts, it  # alpha now holds every dart's int; free the list before the tuple
     return RibbonGraph(n, tuple(alpha))
 
 
@@ -237,8 +240,10 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
 
     Rotation and matching generate the same group as rotation and the
     face permutation, so the graph is connected exactly when its faces
-    are connected through the three darts of each vertex.  Each dart's
-    face label makes that a union-find over the ``lht`` faces alone.
+    are connected through the three darts of each vertex.  Each vertex
+    contributes the triple of its darts' face labels, read from
+    ``label`` at C speed into a set; a union-find over the ``lht`` faces
+    then unites the faces of each distinct triple.
 
     Each cycle entry is the int object ``g.matching`` already holds for
     that dart (``m[m[d]]``, which is ``d``), so the 6n entries share the
@@ -269,16 +274,18 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
         raise BrokenInvariant(f"face degrees sum to {sum(degrees)}, expected {total}")
     parent = list(range(lht + 1))
     components = lht
-    for a, b in set(zip(label[0::3], label[1::3])) | set(zip(label[1::3], label[2::3])):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            components -= 1
+    it = iter(label)
+    for x, y, z in set(zip(it, it, it)):  # the faces at each vertex, once per distinct triple
+        for a, b in ((x, y), (y, z)):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                components -= 1
     connected = components == 1
     genus: int | None = None
     if connected:

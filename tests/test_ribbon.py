@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+from itertools import accumulate
 
 import pytest
 from scipy.stats import chi2
@@ -150,6 +151,22 @@ class TestFromMatching:
             from_matching(1, [(0, 3), (0, 4), (2, 5)])
 
     @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 3), (0, 99), (2, 5)], "dart 0 appears in more than one pair"),
+            ([(0, 3), (99, 0), (2, 5)], "dart 99 is outside [0, 6n)"),
+            ([(-1, 3), (1, 4), (2, 5)], "dart -1 is outside [0, 6n)"),
+            ([(0, 3), (1, -1), (2, 5)], "dart -1 is outside [0, 6n)"),
+        ],
+        ids=["repeat-then-outside", "outside-then-repeat", "negative-first", "negative-second"],
+    )
+    def test_first_fault_within_a_pair(self, pairs, message):
+        # each pair's darts are checked in order, range before repetition,
+        # and a negative dart never indexes the partner list from the end
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_matching(1, pairs)
+
+    @pytest.mark.parametrize(
         "n, pairs, message",
         [
             (1, [(0, 3), (True, 4), (2, 5)], NOT_AN_INT.format((True, 4))),
@@ -195,6 +212,15 @@ class TestFromMatching:
 
 
 class TestSample:
+    def test_peak_memory_per_dart(self, peak_bytes):
+        # the shuffled list, the partner list and the matching's tuple, 8
+        # bytes a dart each, and one int per dart (32); the list is freed
+        # before the tuple is built, and half-size slices would add 8
+        n = 10_000
+        peak, g = peak_bytes(sample, n, derive_seed(67, "memory"))
+        assert g.num_darts == 6 * n
+        assert peak <= 52 * g.num_darts, peak / g.num_darts
+
     def test_deterministic(self):
         assert sample(1, 42) == sample(1, 42)
         assert sample(100, 7) == sample(100, 7)
@@ -307,6 +333,21 @@ class TestFaces:
         assert fd.sum_degrees == g.num_darts
         assert kept <= 24 * g.num_darts, kept / g.num_darts
 
+    def test_peak_memory_per_dart(self, peak_bytes):
+        # label and the finished cycles' tuples hold 8 bytes a dart each.
+        # While a face is traced, its list (over-allocated by up to 1/8) and
+        # its new tuple coexist: 8 bytes a dart of label, 8 per dart of the
+        # faces traced before it and 17 per dart of its own.  Connectivity
+        # then adds only the small set of vertex triples, where slices of
+        # label would add 16/3 bytes a dart.
+        g = sample(10_000, derive_seed(67, "memory"))
+        peak, fd = peak_bytes(faces, g)
+        darts = g.num_darts
+        before = accumulate(fd.degrees, initial=0)
+        walk = max(8 * darts + 8 * p + 17 * d for p, d in zip(before, fd.degrees))
+        assert fd.sum_degrees == darts
+        assert peak <= max(walk, 16 * darts) + 0.5 * darts, (peak / darts, walk / darts)
+
     def test_cycles_anchored_at_minimal_dart(self):
         fd = faces(sample(10, 3))
         for cycle in fd.faces:
@@ -335,6 +376,23 @@ class TestFaces:
                 assert fd.connected == naive_connected(n, g.pairs())
                 outcomes.add(fd.connected)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("sizes", [(10, 40), (150, 25), (30, 300, 60)])
+    def test_connectivity_oracle_on_disjoint_unions(self, sizes):
+        # each later graph's darts are shifted past the earlier ones, so the
+        # union has one component per part at least and lht adds up
+        union, parts, offset = [], [], 0
+        for i, n in enumerate(sizes):
+            pairs = sample(n, derive_seed(71, i, n)).pairs()
+            fd = faces(from_matching(n, pairs))
+            assert fd.connected == naive_connected(n, pairs)
+            parts.append(fd)
+            union += [(a + offset, b + offset) for a, b in pairs]
+            offset += 6 * n
+        fd = faces(from_matching(sum(sizes), union))
+        assert fd.connected is naive_connected(sum(sizes), union) is False
+        assert fd.genus is None
+        assert fd.lht == sum(part.lht for part in parts)
 
     @pytest.mark.parametrize("matching", [(0, 0, 3, 0, 0, 0), (2, 0, 3, 0, 0, 0)])
     def test_broken_invariant_raises(self, matching):
