@@ -162,13 +162,14 @@ def from_matching(n: int, matching: Iterable[Sequence[int]]) -> RibbonGraph:
             raise ValueError(f"matching entry {pair!r} has a dart that is not an integer")
         if a == b:
             raise ValueError(f"dart {a} is paired with itself")
-        if not (0 <= a < total and alpha[a] == -1 and 0 <= b < total and alpha[b] == -1):
-            # some check fails; find the first, dart by dart
-            for d in (a, b):
-                if not 0 <= d < total:
-                    raise ValueError(f"dart {d} is outside [0, 6n)")
-                if alpha[d] != -1:
-                    raise ValueError(f"dart {d} appears in more than one pair")
+        if not 0 <= a < total:
+            raise ValueError(f"dart {a} is outside [0, 6n)")
+        if alpha[a] != -1:
+            raise ValueError(f"dart {a} appears in more than one pair")
+        if not 0 <= b < total:
+            raise ValueError(f"dart {b} is outside [0, 6n)")
+        if alpha[b] != -1:
+            raise ValueError(f"dart {b} appears in more than one pair")
         alpha[a] = b
         alpha[b] = a
     if -1 in alpha:
@@ -207,10 +208,12 @@ def sample(n: int, seed: int) -> RibbonGraph:
         top = low - 2
     alpha = [0] * total
     it = iter(darts)
-    for a, b in zip(it, it):  # neighbours, without copying half the list twice
+    for a, b in zip(it, it):  # neighbours
         alpha[a] = b
         alpha[b] = a
-    del darts, it  # alpha now holds every dart's int; free the list before the tuple
+    # alpha now holds every dart's int; the iterator keeps the list alive,
+    # so both names must go for the list to be freed before the tuple
+    del darts, it
     return RibbonGraph(n, tuple(alpha))
 
 
@@ -231,6 +234,26 @@ def sample_connected(n: int, seed: int) -> tuple[RibbonGraph, FaceDecomposition]
     raise RuntimeError(f"no connected sample for n={n} after {MAX_REJECTIONS} rejections")
 
 
+def _face_components(label: list[int], lht: int) -> int:
+    """Number of classes of the faces ``1 .. lht`` once the faces at each
+    vertex, the labels of darts ``3v, 3v + 1, 3v + 2``, are united."""
+    parent = list(range(lht + 1))
+    components = lht
+    it = iter(label)
+    for x, y, z in set(zip(it, it, it)):  # the faces at each vertex, once per distinct triple
+        for a, b in ((x, y), (y, z)):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                components -= 1
+    return components
+
+
 def faces(g: RibbonGraph) -> FaceDecomposition:
     """Trace the left-hand-turn faces of a graph.
 
@@ -243,7 +266,7 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
     are connected through the three darts of each vertex.  Each vertex
     contributes the triple of its darts' face labels, read from
     ``label`` at C speed into a set; a union-find over the ``lht`` faces
-    then unites the faces of each distinct triple.
+    (``_face_components``) then unites the faces of each distinct triple.
 
     Each cycle entry is the int object ``g.matching`` already holds for
     that dart (``m[m[d]]``, which is ``d``), so the 6n entries share the
@@ -272,21 +295,7 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
     lht = len(orbits)
     if sum(degrees) != total:
         raise BrokenInvariant(f"face degrees sum to {sum(degrees)}, expected {total}")
-    parent = list(range(lht + 1))
-    components = lht
-    it = iter(label)
-    for x, y, z in set(zip(it, it, it)):  # the faces at each vertex, once per distinct triple
-        for a, b in ((x, y), (y, z)):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-                components -= 1
-    connected = components == 1
+    connected = _face_components(label, lht) == 1
     genus: int | None = None
     if connected:
         # chi = V - E + F = -n + lht for a cubic graph on 2n vertices

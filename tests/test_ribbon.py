@@ -5,7 +5,6 @@ import hashlib
 import json
 import random
 import re
-from itertools import accumulate
 
 import pytest
 from scipy.stats import chi2
@@ -333,20 +332,15 @@ class TestFaces:
         assert fd.sum_degrees == g.num_darts
         assert kept <= 24 * g.num_darts, kept / g.num_darts
 
-    def test_peak_memory_per_dart(self, peak_bytes):
-        # label and the finished cycles' tuples hold 8 bytes a dart each.
-        # While a face is traced, its list (over-allocated by up to 1/8) and
-        # its new tuple coexist: 8 bytes a dart of label, 8 per dart of the
-        # faces traced before it and 17 per dart of its own.  Connectivity
-        # then adds only the small set of vertex triples, where slices of
-        # label would add 16/3 bytes a dart.
+    def test_connectivity_peak_memory_per_dart(self, peak_bytes):
+        # the union-find reads label through one iterator into a set of the
+        # distinct vertex triples, at most lht**3 of them, which a sampled
+        # graph keeps small; slices of label would add 16/3 bytes a dart
         g = sample(10_000, derive_seed(67, "memory"))
-        peak, fd = peak_bytes(faces, g)
-        darts = g.num_darts
-        before = accumulate(fd.degrees, initial=0)
-        walk = max(8 * darts + 8 * p + 17 * d for p, d in zip(before, fd.degrees))
-        assert fd.sum_degrees == darts
-        assert peak <= max(walk, 16 * darts) + 0.5 * darts, (peak / darts, walk / darts)
+        fd = faces(g)
+        peak, components = peak_bytes(ribbon._face_components, fd.label, fd.lht)
+        assert components == 1 and fd.connected
+        assert peak <= 2 * g.num_darts, peak / g.num_darts
 
     def test_cycles_anchored_at_minimal_dart(self):
         fd = faces(sample(10, 3))
