@@ -18,7 +18,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,45 +46,27 @@ SCHEMA_VERSION = 1
 # the paper's bound 2/3 + epsilon at epsilon = 0.05
 DEFAULT_H_THRESHOLD = 2.0 / 3.0 + 0.05
 
-# the CSV header: the schema version, then the TrialRecord fields in order
-CSV_COLUMNS = [
-    "schema_version",
-    "n",
-    "seed",
-    "trial",
-    "status",
-    "lht",
-    "genus",
-    "connected",
-    "min_d",
-    "max_d",
-    "sum_d",
-    "num_i1",
-    "boundary_len",
-    "area_a",
-    "area_b",
-    "h_upper",
-    "s2_size",
-    "wall_time_ms",
-]
-
-
 @dataclass(frozen=True)
 class TrialRecord:
-    """One pipeline run, flattened for CSV output."""
+    """One pipeline run, flattened for CSV output.
+
+    A CSV row is ``SCHEMA_VERSION``, then the fields in order.  The
+    header (``CSV_COLUMNS``) names each field by its
+    ``metadata["column"]`` where set, else by the field name.
+    """
 
     n: int
     seed: int
-    trial_index: int
+    trial_index: int = field(metadata={"column": "trial"})
     status: str  # ok | disconnected | empty_i1
     lht: int
     genus: int | None
     connected: bool
-    min_degree: int
-    max_degree: int
-    sum_degrees: int
+    min_degree: int = field(metadata={"column": "min_d"})
+    max_degree: int = field(metadata={"column": "max_d"})
+    sum_degrees: int = field(metadata={"column": "sum_d"})
     num_i1: int | None
-    boundary_length: float | None
+    boundary_length: float | None = field(metadata={"column": "boundary_len"})
     area_a: float | None
     area_b: float | None
     h_upper: float | None
@@ -102,6 +84,9 @@ class TrialRecord:
             return str(x)
 
         return [fmt(SCHEMA_VERSION)] + [fmt(getattr(self, f.name)) for f in fields(self)]
+
+
+CSV_COLUMNS = ["schema_version"] + [f.metadata.get("column", f.name) for f in fields(TrialRecord)]
 
 
 @dataclass(frozen=True)
@@ -132,26 +117,15 @@ def run_trial(
     fd = faces(g)
     status = "ok"
     division = None
-    num_i1 = None
-    boundary_length = None
-    area_a = None
-    area_b = None
-    h_upper = None
     s2_size = None
     try:
         division = cheeger_upper_bound(g, fd, n, y_factor)
-        num_i1 = division.num_i1
-        boundary_length = division.boundary_length
-        area_a = division.area_a
-        area_b = division.area_b
-        h_upper = division.h_upper
         if s2_l is not None:
             s2_size = len(classify_segments(g, fd, division.partition, s2_l))
     except DisconnectedSurface:
         status = "disconnected"
     except EmptyI1:
         status = "empty_i1"
-        num_i1 = 0
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     failures = invariant_failures(g, fd, division)
     if failures:
@@ -167,11 +141,12 @@ def run_trial(
         min_degree=fd.min_degree,
         max_degree=fd.max_degree,
         sum_degrees=fd.sum_degrees,
-        num_i1=num_i1,
-        boundary_length=boundary_length,
-        area_a=area_a,
-        area_b=area_b,
-        h_upper=h_upper,
+        # an empty I1 is a count of 0; a disconnected surface has none
+        num_i1=division.num_i1 if division else (0 if status == "empty_i1" else None),
+        boundary_length=division.boundary_length if division else None,
+        area_a=division.area_a if division else None,
+        area_b=division.area_b if division else None,
+        h_upper=division.h_upper if division else None,
         s2_size=s2_size,
         wall_time_ms=wall_ms,
     )
@@ -230,6 +205,9 @@ def run_grid(
         for t in range(trials)
     ]
     workers, chunksize = pool_plan(workers, len(jobs))
+    if out_path is not None:
+        # fail before the first trial, not after the last
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_args, jobs, chunksize=chunksize))
@@ -241,8 +219,6 @@ def run_grid(
 
 
 def write_csv(records: Iterable[TrialRecord], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -301,7 +277,7 @@ def summarize(
         usable=len(usable),
         excluded=len(rows) - len(usable),
         mean_lht=statistics.fmean(lhts),
-        var_lht=statistics.pvariance(lhts) if len(lhts) > 1 else 0.0,
+        var_lht=float(statistics.pvariance(lhts)),
         h_threshold=h_threshold,
         fraction_h_below=fraction,
     )

@@ -36,7 +36,6 @@ __all__ = [
     "n_bound",
     "m_bound",
     "develop_horoball",
-    "horoball_footprint",
     "classify_segments",
 ]
 
@@ -158,12 +157,7 @@ def m_bound(l) -> int:
     return math.ceil(3 * exact_l(l) * n_bound(l))
 
 
-def develop_horoball(
-    g: RibbonGraph,
-    fd: FaceDecomposition,
-    j: int,
-    l,
-) -> list[DevelopedTriangle]:
+def develop_horoball(fd: FaceDecomposition, j: int, l) -> list[DevelopedTriangle]:
     """Developed triangles of cusp j's strip meeting the horoball {y > d_j/l}.
 
     The top row comes first, one triangle per dart of the face cycle
@@ -191,18 +185,6 @@ def develop_horoball(
     return out
 
 
-def horoball_footprint(
-    g: RibbonGraph,
-    fd: FaceDecomposition,
-    j: int,
-    l,
-) -> frozenset[int]:
-    """Surface triangles whose developed copy meets cusp j's depth-l horoball."""
-    return frozenset(
-        dt.surface_triangle for dt in develop_horoball(g, fd, j, l)
-    )
-
-
 def classify_segments(
     g: RibbonGraph,
     fd: FaceDecomposition,
@@ -212,7 +194,8 @@ def classify_segments(
     """The darts of large cusps in horoball contact (the set s2).
 
     A dart of a cusp in ``partition.i1`` is in s2 when its triangle lies
-    in the footprint of some cusp of degree <= l.  Triangle granularity
+    in the footprint (the surface triangles of ``develop_horoball``) of
+    some cusp of degree <= l; ``g`` is not read.  Triangle granularity
     makes this a conservative overcount of actual trapezium contact, but
     each small cusp still contributes at most 3 * d_j * n_bound(l) <=
     m_bound(l) darts, so |s2| <= m_bound(l) * lht.
@@ -221,7 +204,7 @@ def classify_segments(
     hot: set[int] = set()
     for j, d in enumerate(fd.degrees):
         if d <= lq:
-            hot.update(horoball_footprint(g, fd, j, l))
+            hot.update(dt.surface_triangle for dt in develop_horoball(fd, j, l))
     return frozenset(
         d for t in hot for d in (3 * t, 3 * t + 1, 3 * t + 2) if fd.label[d] - 1 in partition.i1
     )

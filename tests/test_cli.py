@@ -362,6 +362,19 @@ class TestGrid:
         assert "--workers" in err
         assert not out_dir.exists()
 
+    def test_out_under_a_file_exits_2_before_running(self, capsys, tmp_path, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trial", no_trial)
+        (tmp_path / "f").write_text("")
+        code, out, err = run_cli(
+            capsys, "grid", "--n-list", "100000", "--trials", "2", "--seed", "1",
+            "--workers", "1", "--out", str(tmp_path / "f"),
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_golden_summary(self, capsys, tmp_path):
         # sha256 of summary.json on the grid of the golden CSV digest in test_experiments
         code, _, _ = run_cli(

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from belyi import experiments
-from belyi.cheeger import EmptyI1
+from belyi.cheeger import DisconnectedSurface, EmptyI1
 from belyi.experiments import (
     CSV_COLUMNS,
     TrialRecord,
@@ -83,6 +83,27 @@ class TestRunTrial:
         with pytest.raises(BrokenInvariant, match=r"^n=10, seed=12345: degree sum 59 != 6n$"):
             run_trial(10, 12345, 0)
         assert checked[0].n == 10  # the trial's division was checked
+
+    @pytest.mark.parametrize(
+        "error, status, num_i1, num_i1_cell",
+        [(EmptyI1, "empty_i1", 0, "0"), (DisconnectedSurface, "disconnected", None, "")],
+    )
+    def test_stopped_trial_record(self, monkeypatch, error, status, num_i1, num_i1_cell):
+        def stopped(g, fd, n, y_factor):
+            raise error("patched")
+
+        monkeypatch.setattr(experiments, "cheeger_upper_bound", stopped)
+        rec = run_trial(10, 12345, 0, s2_l=4)
+        assert rec.status == status
+        assert rec.num_i1 == num_i1
+        blank = ("boundary_length", "area_a", "area_b", "h_upper", "s2_size")
+        assert [getattr(rec, name) for name in blank] == [None] * 5
+        assert rec.sum_degrees == 60  # the graph's fields are still recorded
+        row = dict(zip(CSV_COLUMNS, rec.csv_row()))
+        assert row["status"] == status
+        assert row["num_i1"] == num_i1_cell
+        for column in ("boundary_len", "area_a", "area_b", "h_upper", "s2_size"):
+            assert row[column] == ""
 
 
 class TestRunGrid:
@@ -159,11 +180,20 @@ class TestRunGrid:
         digest = hashlib.sha256(strip_timing(tmp_path / "g.csv").encode()).hexdigest()
         assert digest == "283e8b2a161b5827ed3d8cdfd481dfeaf6ac5373c36a43cb3881d1c269ff1cfa"
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_grid([2], 1, 0)
-        with pytest.raises(ValueError):
-            run_grid([10], 0, 0)
+    def test_validation(self, tmp_path):
+        out_path = tmp_path / "d" / "trials.csv"
+        for grid, workers in ((([2], 1, 0), 1), (([10], 0, 0), 1), (([10], 1, 0), 0)):
+            with pytest.raises(ValueError):
+                run_grid(*grid, out_path=out_path, workers=workers)
+        assert not out_path.parent.exists()  # rejected inputs make no directory
+
+    def test_unmakeable_directory_fails_before_first_trial(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_trial", lambda *args: calls.append(args))
+        (tmp_path / "f").write_text("")
+        with pytest.raises(OSError):
+            run_grid([10], 2, 0, out_path=tmp_path / "f" / "trials.csv", workers=1)
+        assert calls == []
 
 
 class TestPoolPlan:
@@ -272,6 +302,13 @@ class TestSummarize:
     def test_missing_n(self):
         with pytest.raises(ValueError, match=r"^no records at n=999$"):
             summarize([synthetic_record(10, 4)], 999)
+
+    @pytest.mark.parametrize("lhts, var", [((5,), 0.0), ((5, 5), 0.0), ((4, 6), 1.0)])
+    def test_var_lht_is_a_float(self, lhts, var):
+        # pvariance of ints is an int when the variance is a whole number
+        stats = summarize([synthetic_record(10, lht) for lht in lhts], 10)
+        assert type(stats.var_lht) is float
+        assert stats.var_lht == var
 
 
 class TestWriteCsv:

@@ -13,7 +13,6 @@ from belyi.farey import (
     count_intersecting,
     develop_horoball,
     enumerate_level,
-    horoball_footprint,
     intersects_strip,
     m_bound,
     mediant,
@@ -191,7 +190,7 @@ class TestLengthCheck:
             lambda l: has_large_cusps(fd, l),
             lambda l: intersects_strip(top, l),
             lambda l: count_intersecting(l),
-            lambda l: develop_horoball(g, fd, 0, l),
+            lambda l: develop_horoball(fd, 0, l),
             lambda l: classify_segments(g, fd, partition, l),
             n_bound,
             m_bound,
@@ -209,29 +208,29 @@ class TestHoroballFootprint:
         g = from_matching(1, THETA_TORUS)
         fd = faces(g)
         assert fd.degrees == (6,)
-        assert horoball_footprint(g, fd, 0, 4) == frozenset()
+        assert {dt.surface_triangle for dt in develop_horoball(fd, 0, 4)} == set()
 
     def test_torus_at_depth_six(self):
         g = from_matching(1, THETA_TORUS)
         fd = faces(g)
         # d = l = 6: horoball reaches exactly the canonical loop; top row only
-        dev = develop_horoball(g, fd, 0, 6)
+        dev = develop_horoball(fd, 0, 6)
         assert len(dev) == 6
         assert all(dt.entry_edge is None for dt in dev)
-        assert horoball_footprint(g, fd, 0, 6) == {0, 1}
+        assert {dt.surface_triangle for dt in develop_horoball(fd, 0, 6)} == {0, 1}
 
     def test_sphere_top_row_only_at_l4(self):
         g = from_matching(1, THETA_SPHERE)
         fd = faces(g)
         for j in range(3):
-            dev = develop_horoball(g, fd, j, 4)
+            dev = develop_horoball(fd, j, 4)
             assert len(dev) == 2  # second row apex height 1/2 is not > 2/4
-            assert horoball_footprint(g, fd, j, 4) == {0, 1}
+            assert {dt.surface_triangle for dt in develop_horoball(fd, j, 4)} == {0, 1}
 
     def test_sphere_development_at_l6(self):
         g = from_matching(1, THETA_SPHERE)
         fd = faces(g)
-        dev = develop_horoball(g, fd, 0, 6)
+        dev = develop_horoball(fd, 0, 6)
         by_vertices = {dt.vertices: dt for dt in dev}
         assert by_vertices[(F(0), math.inf, F(1))].surface_triangle == 0
         assert by_vertices[(F(1), math.inf, F(2))].surface_triangle == 1
@@ -244,7 +243,7 @@ class TestHoroballFootprint:
         fd = faces(g)
         for j, d in enumerate(fd.degrees):
             if d <= 6:
-                for dt in develop_horoball(g, fd, j, 6):
+                for dt in develop_horoball(fd, j, 6):
                     left, apex, right = dt.vertices
                     assert F(0) <= left < right <= F(d)
                     if apex != math.inf:
@@ -258,7 +257,7 @@ class TestHoroballFootprint:
         assert small
         assert 2 * n_bound(4) == 14
         for j in small:
-            fp = horoball_footprint(g, fd, j, 4)
+            fp = {dt.surface_triangle for dt in develop_horoball(fd, j, 4)}
             assert len(fp) <= 14
 
     def test_footprint_size_bound_many_samples(self):
@@ -267,7 +266,7 @@ class TestHoroballFootprint:
             fd = faces(g)
             for j, d in enumerate(fd.degrees):
                 if d <= 5:
-                    fp = horoball_footprint(g, fd, j, 5)
+                    fp = {dt.surface_triangle for dt in develop_horoball(fd, j, 5)}
                     assert len(fp) <= d * n_bound(5)
 
     def test_entry_edge_belongs_to_entered_triangle(self):
@@ -276,7 +275,7 @@ class TestHoroballFootprint:
             fd = faces(g)
             for j, d in enumerate(fd.degrees):
                 if d <= 8:
-                    for dt in develop_horoball(g, fd, j, 8):
+                    for dt in develop_horoball(fd, j, 8):
                         if dt.entry_edge is not None:
                             assert dt.entry_edge // 3 == dt.surface_triangle
                         assert 0 <= dt.surface_triangle < g.num_vertices
@@ -362,7 +361,7 @@ class TestLargeCuspsAgainstDevelopment:
                 developed = set()
                 for j, d in enumerate(fd.degrees):
                     if d <= l:
-                        for dt in develop_horoball(g, fd, j, l):
+                        for dt in develop_horoball(fd, j, l):
                             if dt.entry_edge is not None:
                                 assert (j, dt.entry_edge, dt.vertices) in entered
                                 developed.add((j, dt.entry_edge, dt.vertices))
@@ -381,7 +380,7 @@ def s2_by_definition(g, fd, partition, l):
     hot = set()
     for j, degree in enumerate(fd.degrees):
         if degree <= l:
-            hot |= horoball_footprint(g, fd, j, l)
+            hot |= {dt.surface_triangle for dt in develop_horoball(fd, j, l)}
     return {d for i in partition.i1 for d in fd.faces[i] if d // 3 in hot}
 
 
