@@ -106,6 +106,9 @@ def _cmd_cheeger(args) -> int:
         seed = args.seed
     fd = ribbon.faces(g)
     division = cheeger_mod.cheeger_upper_bound(g, fd, g.n, args.y_factor)
+    failures = cheeger_mod.invariant_failures(g, fd, division)
+    if failures:
+        raise ribbon.BrokenInvariant(failures[0])
     print(
         _dump_json(
             {

@@ -29,7 +29,6 @@ __all__ = [
     "surface_area",
     "small_triangle_area",
     "partition_cusps",
-    "has_large_cusps_proxy",
     "has_large_cusps",
     "develop_strip",
 ]
@@ -82,17 +81,6 @@ def partition_cusps(fd: FaceDecomposition, n: int) -> CuspPartition:
     return CuspPartition(i1, i2, threshold)
 
 
-def has_large_cusps_proxy(fd: FaceDecomposition, l: float) -> bool:
-    """Sufficient combinatorial test for embedded disjoint depth-``l``
-    horoballs: every cusp degree strictly exceeds ``l``.
-
-    A cusp of degree d > l keeps its depth-l horoball inside the region
-    above its canonical loop.  The converse is false, so this can
-    return False for surfaces that do have such horoballs.
-    """
-    return fd.min_degree > l
-
-
 def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     """Whether the length-``l`` horoballs of all cusps are embedded and
     pairwise disjoint (horoballs closed, so tangency counts as contact).
@@ -107,7 +95,9 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     d_j * q^2 > l^2.  The test is symmetric in j and k (q is fixed by the
     distance between their canonical horoballs) and a failing pair has a
     cusp of degree <= l, so only the strips of those cusps are developed;
-    with none, this agrees with ``has_large_cusps_proxy``.
+    with none, this agrees with the sufficient test ``fd.min_degree > l``
+    (a cusp of degree d > l keeps its depth-l horoball inside the region
+    above its canonical loop; the converse is false).
     Exact for rational ``l`` (ints and floats are converted exactly).
     """
     lq = exact_l(l)

@@ -17,10 +17,9 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cheeger import DisconnectedSurface, EmptyI1, cheeger_upper_bound, invariant_failures
 from .farey import classify_segments
@@ -176,6 +175,30 @@ def pool_plan(workers: int | None, num_jobs: int) -> tuple[int, int]:
     return workers, max(1, num_jobs // (4 * workers))
 
 
+def _map_jobs(fn: Callable, jobs: Sequence, workers: int | None) -> Iterator:
+    """``fn(job)`` for each job, yielded in job order.
+
+    Plans at the call, so a worker count below 1 raises before any job
+    runs, and runs the jobs as the result is iterated: in this process
+    when ``pool_plan(workers, len(jobs))`` gives one worker, else in a
+    pool that ends once the last result is read.  ``fn`` must be a
+    module-level function, so that it can be sent to the workers.
+    """
+    workers, chunksize = pool_plan(workers, len(jobs))
+    if workers == 1:
+        return map(fn, jobs)
+    return _pool_map(fn, jobs, workers, chunksize)
+
+
+def _pool_map(fn: Callable, jobs: Sequence, workers: int, chunksize: int) -> Iterator:
+    # imported here, so that serial paths skip loading the pool's modules
+    # (multiprocessing, pickle, socket, logging), a large share of start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, jobs, chunksize=chunksize)
+
+
 def run_grid(
     n_values: Sequence[int],
     trials: int,
@@ -204,15 +227,11 @@ def run_grid(
         for n in n_values
         for t in range(trials)
     ]
-    workers, chunksize = pool_plan(workers, len(jobs))
+    results = _map_jobs(_trial_args, jobs, workers)
     if out_path is not None:
         # fail before the first trial, not after the last
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_args, jobs, chunksize=chunksize))
-    else:
-        records = [run_trial(*job) for job in jobs]
+    records = list(results)
     if out_path is not None:
         write_csv(records, out_path)
     return records

@@ -24,6 +24,7 @@ from belyi.cheeger import cheeger_upper_bound, in_f_star
 from belyi.cli import main as cli_main
 from belyi.cusps import surface_area
 from belyi.experiments import (
+    _map_jobs,
     h_fraction_below,
     lht_growth_fit,
     run_grid,
@@ -65,27 +66,38 @@ def test_criterion_1_two_vertex_golden_cases():
     )
 
 
+def _identity_failures(job: tuple[int, int]) -> tuple[bool, list[str]]:
+    """(whether sample k at n is connected, criterion 2's failures on it);
+    a disconnected sample is checked for its degree sum only."""
+    n, k = job
+    g = sample(n, derive_seed(BASE_SEED, "identity", n, k))
+    fd = faces(g)
+    where = f"at n={n} trial {k}"
+    if fd.sum_degrees != 6 * n:
+        return fd.connected, [f"degree sum breaks {where}"]
+    if not fd.connected:
+        return False, []
+    failures = []
+    if fd.genus is None or fd.genus != 1 + (n - fd.lht) // 2 or (n - fd.lht) % 2:
+        failures.append(f"Euler identity breaks {where}")
+    division = cheeger_upper_bound(g, fd, n)
+    if not abs(division.area_a + division.area_b - surface_area(n)) <= 1e-9:
+        failures.append(f"area conservation breaks {where}")
+    mask = division.minority
+    if mask.count(1) > 2 * n:
+        failures.append(f"more than 2n boundary darts {where}")
+    if any(a + b + c > 1 for a, b, c in zip(mask[0::3], mask[1::3], mask[2::3])):
+        failures.append(f"two boundary darts share a triangle {where}")
+    return True, failures
+
+
 def test_criterion_2_identity_suite():
-    samples_per_n = 1000
-    checked = 0
-    for n in (10, 100, 1000):
-        for k in range(samples_per_n):
-            g = sample(n, derive_seed(BASE_SEED, "identity", n, k))
-            fd = faces(g)
-            assert fd.sum_degrees == 6 * n, f"degree sum breaks at n={n} trial {k}"
-            if not fd.connected:
-                continue
-            assert fd.genus is not None
-            assert fd.genus == 1 + (n - fd.lht) // 2
-            assert (n - fd.lht) % 2 == 0
-            division = cheeger_upper_bound(g, fd, n)
-            assert division.area_a + division.area_b == pytest.approx(
-                surface_area(n), abs=1e-9
-            ), f"area conservation breaks at n={n} trial {k}"
-            assert len(division.boundary_segments) <= 2 * n
-            triangles = [d // 3 for d in division.boundary_segments]
-            assert len(triangles) == len(set(triangles)), "two boundary darts share a triangle"
-            checked += 1
+    # the sizes interleave so that every chunk of the pool holds a like share of the work
+    jobs = [(n, k) for k in range(1000) for n in (10, 100, 1000)]
+    results = list(_map_jobs(_identity_failures, jobs, None))
+    failures = [f for _, found in results for f in found]
+    assert not failures, failures[:5]
+    checked = sum(connected for connected, _ in results)
     assert report(
         2,
         True,
@@ -185,13 +197,15 @@ def test_criterion_6_s2_bound():
     )
 
 
+def _member(job: tuple[int, int]) -> bool:
+    n, k = job
+    return in_f_star(faces(sample(n, derive_seed(BASE_SEED, "member", k))), 2, 10, n)
+
+
 def test_criterion_7_membership_floor():
     n = 10**4
     trials = 200
-    hits = sum(
-        in_f_star(faces(sample(n, derive_seed(BASE_SEED, "member", k))), 2, 10, n)
-        for k in range(trials)
-    )
+    hits = sum(_map_jobs(_member, [(n, k) for k in range(trials)], None))
     fraction = hits / trials
     floor = 0.8 - 0.1
     ok = fraction >= floor

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from belyi import experiments
+from belyi import cheeger, experiments
 from belyi.cli import main
 from belyi.ribbon import derive_seed, sample
 
@@ -112,6 +112,13 @@ class TestCheeger:
         code, _, err = run_cli(capsys, "cheeger", "--graph", str(path))
         assert code == 3
         assert "error" in err
+
+    def test_broken_invariant_exits_1_before_printing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cheeger, "invariant_failures", lambda g, fd, division: ["boom"])
+        code, out, err = run_cli(capsys, "cheeger", "--n", "50", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: boom\n"
 
     def test_n_below_threshold_domain_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "cheeger", "--n", "1", "--seed", "42")

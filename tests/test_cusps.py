@@ -12,7 +12,6 @@ from belyi.cheeger import cheeger_upper_bound
 from belyi.cusps import (
     degree_threshold,
     has_large_cusps,
-    has_large_cusps_proxy,
     partition_cusps,
     small_triangle_area,
     surface_area,
@@ -132,9 +131,10 @@ class TestLargeCuspProxy:
 
         torus = faces(from_matching(1, [(0, 3), (1, 4), (2, 5)]))
         sphere = faces(from_matching(1, [(0, 3), (1, 5), (2, 4)]))
-        assert has_large_cusps_proxy(torus, 2) is True
-        assert has_large_cusps_proxy(sphere, 2) is False  # boundary case is strict
-        assert has_large_cusps_proxy(sphere, 1) is True
+        # the proxy min face degree > l; the boundary case is strict
+        assert torus.min_degree > 2
+        assert not sphere.min_degree > 2
+        assert sphere.min_degree > 1
 
 
 class TestLargeCusps:
@@ -155,7 +155,7 @@ class TestLargeCusps:
     def test_degree_one_face_beside_large_face(self):
         fd = faces(from_matching(2, LOOP_BESIDE_LARGE))
         assert sorted(fd.degrees) == [1, 11]
-        assert has_large_cusps_proxy(fd, 2) is False
+        assert not fd.min_degree > 2
         assert has_large_cusps(fd, 2) is True
         # the loop triangle pairs the two cusps at q = 1: 1 * 11 > l^2
         assert has_large_cusps(fd, 3.31) is True
@@ -167,7 +167,7 @@ class TestLargeCusps:
             for k in range(300):
                 fd = faces(sample(8, derive_seed(43, "proxy", l, k)))
                 exact = has_large_cusps(fd, l)
-                if has_large_cusps_proxy(fd, l):
+                if fd.min_degree > l:
                     assert exact, f"proxy holds but exact fails at l={l}, trial {k}"
                 elif exact:
                     exact_only += 1
@@ -192,7 +192,7 @@ class TestLargeCusps:
         assert sorted(d for cycle in fd.faces for d in cycle) == list(range(g.num_darts))
         for i, cycle in enumerate(fd.faces):
             assert all(fd.label[d] == i + 1 for d in cycle)
-        if has_large_cusps_proxy(fd, l):
+        if fd.min_degree > l:
             assert has_large_cusps(fd, l)
 
     @settings(derandomize=True, deadline=None, max_examples=300)

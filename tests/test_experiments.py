@@ -5,6 +5,8 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -169,9 +171,23 @@ class TestRunGrid:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert len(run_grid([10], 1, 0)) == 1
         assert len(run_grid([10], 5, 0, workers=1)) == 5
+
+    def test_serial_paths_load_no_pool_modules(self):
+        # a fresh interpreter, since this one may have loaded them already
+        code = (
+            "import sys\n"
+            "from belyi.cli import main\n"
+            "from belyi.experiments import run_grid\n"
+            "assert main(['cheeger', '--n', '50', '--seed', '1']) == 0\n"
+            "assert len(run_grid([10], 3, 0, workers=1)) == 3\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_golden_fingerprint(self, tmp_path):
         # sha256 of the CSV without wall_time_ms; the grid includes one disconnected row
