@@ -17,6 +17,16 @@ and a triangle's three darts are nearly independent, so a share
 3p(1-p) ~ 3/4 of the 2n triangles is mixed.  The boundary is then about
 2n * 3/4 + eta (eta the total cut-curve length) and the smaller area
 about pi n, so h_upper ~ 3/(2 pi) + eta/(pi n), with 3/(2 pi) ~ 0.4775.
+
+The paper's closed-form bounds (epsilon, c > 0, horoball length l,
+M = farey.m_bound(l)): balance factor lambda = (1 - 2cM log^3 n / n)
+(1 - l log^2 n / n) / (2(1+epsilon)^2), boundary length <= 2n + 3c log^2 n,
+smaller area >= lambda (6 - c/log n) n, quotient -> (2/3)(1+epsilon)^2,
+probability floor 1 - 2/c.  At epsilon = 0.05, c = 10, l = 4, lambda is
+-57.07, -11.11, -1.55, +0.134, +0.406 at n = 1e4 ... 1e8, so the area
+bound is vacuous at any sampled size and is not computed here.  Its
+degree mass sum_{i1} d_i >= (6 - c/log n) n needs lht <= c log n, and
+then follows from the floor 6n - lht n/log^2 n of ``invariant_failures``.
 """
 
 from __future__ import annotations
@@ -33,21 +43,16 @@ from .cusps import (
     small_triangle_area,
     surface_area,
 )
-from .farey import m_bound
 from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
     "EmptyI1",
     "DisconnectedSurface",
-    "HypothesisNotMet",
     "CuspCut",
     "Division",
-    "Certificate",
     "build_cusp_cut",
     "cheeger_upper_bound",
-    "certificate",
     "in_f_star",
-    "sum_degrees_i1_bound_check",
     "invariant_failures",
 ]
 
@@ -62,10 +67,6 @@ class EmptyI1(RuntimeError):
 
 class DisconnectedSurface(RuntimeError):
     """The pipeline needs a connected surface."""
-
-
-class HypothesisNotMet(RuntimeError):
-    """The face count exceeds c * log n, so the degree-mass bound does not apply."""
 
 
 @dataclass(frozen=True)
@@ -118,21 +119,6 @@ class Division:
     def boundary_segments(self) -> frozenset[int]:
         """The minority darts as a set, built from ``minority`` on each call."""
         return frozenset(compress(range(len(self.minority)), self.minority))
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """The closed-form bound package for given (epsilon, c, l, n)."""
-
-    epsilon: float
-    c: float
-    l: float
-    n: int
-    lambda_: float
-    length_bound: float
-    area_bound: float
-    quotient_bound: float
-    prob_floor: float
 
 
 def build_cusp_cut(face_id: int, d: int, n: int, y_factor: float = 1.0) -> CuspCut:
@@ -227,37 +213,6 @@ def cheeger_upper_bound(
     )
 
 
-def certificate(epsilon: float, c: float, l: float, n: int) -> Certificate:
-    """Closed-form bound package for the division construction.
-
-    lambda is the asymptotic balance factor of the cusp splits; the
-    length bound covers 2n unit segments plus the cut curves; the area
-    bound is lambda times the degree mass of large cusps; the quotient
-    bound is their limiting ratio (2/3)(1+epsilon)^2.  Also reports the
-    probability floor 1 - 2/c for the sampled family the bounds target.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    log_n = math.log(n)
-    big_m = m_bound(l)  # rejects l <= 0 (cusps.exact_l)
-    lambda_ = (
-        (1.0 / (2.0 * (1.0 + epsilon) ** 2))
-        * (1.0 - 2.0 * c * big_m * log_n**3 / n)
-        * (1.0 - log_n**2 * l / n)
-    )
-    length_bound = 2.0 * n + 3.0 * c * log_n**2
-    area_bound = lambda_ * (6.0 - c / log_n) * n
-    quotient_bound = (2.0 / 3.0) * (1.0 + epsilon) ** 2
-    prob_floor = 1.0 - 2.0 / c
-    return Certificate(
-        epsilon, c, l, n, lambda_, length_bound, area_bound, quotient_bound, prob_floor
-    )
-
-
 def in_f_star(fd: FaceDecomposition, epsilon_l: float, c: float, n: int) -> bool:
     """Membership in the good family F*: the length-``epsilon_l``
     horoballs of all cusps are embedded and pairwise disjoint (decided
@@ -265,8 +220,8 @@ def in_f_star(fd: FaceDecomposition, epsilon_l: float, c: float, n: int) -> bool
     c * log n.
 
     The large-cusp property holds asymptotically almost surely
-    (Brooks-Makover); the probability floor 1 - 2/c of ``certificate``
-    for F* rests on it.
+    (Brooks-Makover); the paper's probability floor 1 - 2/c for F*
+    (module docstring) rests on it.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
@@ -274,25 +229,6 @@ def in_f_star(fd: FaceDecomposition, epsilon_l: float, c: float, n: int) -> bool
         raise ValueError(f"n must be >= 3, got {n}")
     # has_large_cusps first, so that it rejects epsilon_l <= 0 on every call
     return has_large_cusps(fd, epsilon_l) and fd.lht <= c * math.log(n)
-
-
-def sum_degrees_i1_bound_check(
-    fd: FaceDecomposition,
-    partition: CuspPartition,
-    c: float,
-    n: int,
-) -> bool:
-    """Check the large-cusp degree mass bound sum_{i1} d_i >= (6 - c/log n) n.
-
-    Valid whenever lht <= c * log n (each small cusp holds at most
-    n/(log n)^2 degree mass and there are at most lht of them); callers
-    should treat HypothesisNotMet as "skip", not as failure.
-    """
-    log_n = math.log(n)
-    if fd.lht > c * log_n:
-        raise HypothesisNotMet(f"lht={fd.lht} exceeds c*log(n)={c * log_n}")
-    mass = sum(fd.degrees[i] for i in partition.i1)
-    return mass >= (6.0 - c / log_n) * n
 
 
 def invariant_failures(

@@ -130,10 +130,13 @@ def _cmd_cheeger(args) -> int:
 
 
 def _cmd_farey(args) -> int:
+    count, bound = farey.count_intersecting(args.l), farey.n_bound(args.l)
+    if count > bound:
+        raise ribbon.BrokenInvariant(f"l={args.l}: count_intersecting {count} > n_bound {bound}")
     out = {
         "l": args.l,
-        "count_intersecting": farey.count_intersecting(args.l),
-        "n_bound": farey.n_bound(args.l),
+        "count_intersecting": count,
+        "n_bound": bound,
         "m_bound": farey.m_bound(args.l),
     }
     if args.level is not None:

@@ -111,6 +111,8 @@ def run_trial(
 ) -> TrialRecord:
     """Sample, trace faces, run the cut pipeline, and flatten the result;
     raise ``BrokenInvariant``, naming n and seed, if an identity fails."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     t0 = time.perf_counter()
     g = sample(n, seed)
     fd = faces(g)

@@ -9,13 +9,10 @@ import pytest
 from belyi.cheeger import (
     DisconnectedSurface,
     EmptyI1,
-    HypothesisNotMet,
     build_cusp_cut,
-    certificate,
     cheeger_upper_bound,
     in_f_star,
     invariant_failures,
-    sum_degrees_i1_bound_check,
 )
 from belyi.cusps import degree_threshold, partition_cusps, surface_area
 from belyi.ribbon import derive_seed, faces, from_matching, rotation, sample
@@ -240,39 +237,6 @@ class TestCheegerUpperBound:
         assert 0 < division.h_upper < 1
 
 
-class TestCertificate:
-    def test_quotient_bound(self):
-        cert = certificate(0.1, 3, 4, 100)
-        assert cert.quotient_bound == pytest.approx(0.8066666666666668, rel=1e-14)
-
-    def test_length_bound(self):
-        cert = certificate(0.1, 3, 4, 100)
-        assert cert.length_bound == pytest.approx(390.8683319772224, rel=1e-14)
-
-    def test_prob_floor(self):
-        assert certificate(0.1, 10, 4, 100).prob_floor == pytest.approx(0.8)
-
-    def test_lambda_limit_half(self):
-        cert = certificate(1e-9, 1, 4, 10**12)
-        assert cert.lambda_ == pytest.approx(0.5, abs=1e-4)
-
-    def test_area_bound_consistency(self):
-        cert = certificate(0.2, 2, 4, 10**6)
-        log_n = math.log(10**6)
-        assert cert.area_bound == pytest.approx(
-            cert.lambda_ * (6 - 2 / log_n) * 10**6, rel=1e-12
-        )
-
-    def test_parameter_validation(self):
-        # nonpositive l: test_farey.py TestLengthCheck
-        with pytest.raises(ValueError, match=r"^epsilon must be positive, got 0$"):
-            certificate(0, 1, 4, 100)
-        with pytest.raises(ValueError, match=r"^c must be positive, got 0$"):
-            certificate(0.1, 0, 4, 100)
-        with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
-            certificate(0.1, 1, 4, 2)
-
-
 class TestInFStar:
     def test_lht_condition(self):
         fd = faces(from_matching(1, [(0, 3), (1, 4), (2, 5)]))
@@ -304,30 +268,26 @@ class TestInFStar:
 
 
 class TestDegreeMassBound:
+    """The paper's sum_{i1} d_i >= (6 - c/log n) n, wherever lht <= c log n."""
+
     def test_single_face(self):
-        fd = faces(from_matching(1, [(0, 3), (1, 4), (2, 5)]))
-        # scale-free check: a single face holds all 6n degree mass
+        # c just above lht / log n, the smallest c the inequality covers
         for n, seed in [(10, 2), (50, 7)]:
-            fd = faces(sample(n, seed))
-            partition = partition_cusps(fd, n)
+            g, fd, division = pipeline(n, seed)
+            assert invariant_failures(g, fd, division) == []
             c = fd.lht / math.log(n) + 1e-9
-            assert sum_degrees_i1_bound_check(fd, partition, c, n) is True
+            mass = sum(fd.degrees[i] for i in division.partition.i1)
+            assert mass >= (6.0 - c / math.log(n)) * n
 
     def test_monte_carlo(self):
+        n, c = 200, 10.0
         for seed in range(50):
-            n = 200
-            fd = faces(sample(n, derive_seed(61, seed)))
-            partition = partition_cusps(fd, n)
-            c = 10.0
+            g, fd, division = pipeline(n, derive_seed(61, seed))
+            assert invariant_failures(g, fd, division) == []
             if fd.lht > c * math.log(n):
                 continue
-            assert sum_degrees_i1_bound_check(fd, partition, c, n) is True
-
-    def test_hypothesis_not_met(self):
-        fd = faces(sample(100, 1))
-        partition = partition_cusps(fd, 100)
-        with pytest.raises(HypothesisNotMet):
-            sum_degrees_i1_bound_check(fd, partition, 1e-6, 100)
+            mass = sum(fd.degrees[i] for i in division.partition.i1)
+            assert mass >= (6.0 - c / math.log(n)) * n
 
 
 def honeycomb_torus(m):

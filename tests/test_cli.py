@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from belyi import cheeger, experiments
+from belyi import cheeger, cli, cusps, experiments, farey, ribbon
 from belyi.cli import main
 from belyi.ribbon import derive_seed, sample
 
@@ -257,6 +257,13 @@ class TestFarey:
         assert code == 2
         assert out == "" and "exceeds cap" in err
 
+    def test_count_above_bound_exits_1_before_printing(self, capsys, monkeypatch):
+        monkeypatch.setattr(farey, "n_bound", lambda l: 0)
+        code, out, err = run_cli(capsys, "farey", "--l", "4")
+        assert code == 1
+        assert out == ""
+        assert err == "error: l=4.0: count_intersecting 1 > n_bound 0\n"
+
     def test_invalid_l(self, capsys):
         code, _, _ = run_cli(capsys, "farey", "--l", "0")
         assert code == 2
@@ -462,3 +469,16 @@ class TestEntryPoint:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "schema" in out or "CSV" in out
+
+
+class TestModuleNames:
+    @pytest.mark.parametrize("module", [ribbon, cusps, farey, cheeger, experiments, cli])
+    def test_all_names_resolve(self, module):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+    def test_cheeger_loads_without_farey(self):
+        # a fresh interpreter, since this one has loaded farey already
+        code = "import sys, belyi.cheeger; print('belyi.farey' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -74,6 +74,12 @@ class TestRunTrial:
             assert rec.s2_size is not None
         assert run_trial(100, 7, 0).s2_size is None
 
+    def test_n_below_three_rejected_on_every_seed(self):
+        # seed 2 samples a disconnected surface, which would otherwise make a record
+        for seed in range(8):
+            with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
+                run_trial(2, seed, 0)
+
     def test_broken_invariant_names_n_and_seed(self, monkeypatch):
         checked = []
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from belyi.cheeger import certificate, in_f_star
+from belyi.cheeger import in_f_star
 from belyi.cusps import CuspPartition, develop_strip, has_large_cusps, partition_cusps
 from belyi.farey import (
     FareyTriangle,
@@ -195,7 +195,6 @@ class TestLengthCheck:
             n_bound,
             m_bound,
             lambda l: in_f_star(fd, l, 10, 100),
-            lambda l: certificate(0.1, 1, l, 100),
         ]
         for call in calls:
             for l in (0, -1.5):
