@@ -256,7 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("farey", help="subdivision counts and bounds as JSON")
     p.add_argument("--l", type=_positive_finite, required=True, help="strip depth parameter")
-    p.add_argument("--level", type=int, help="also list the triangles of this level")
+    p.add_argument(
+        "--level", type=int, choices=range(1, 17), metavar="{1..16}",
+        help="also list the 2^(level-1) triangles of this level",
+    )
     p.set_defaults(func=_cmd_farey)
 
     p = sub.add_parser("verify", help="run invariant suites")

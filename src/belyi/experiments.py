@@ -221,9 +221,11 @@ def run_grid(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    for n in n_values:
+    for i, n in enumerate(n_values):
         if n < 3:
             raise ValueError(f"grid n values must be >= 3, got {n}")
+        if n in n_values[:i]:
+            raise ValueError(f"grid n values must be distinct, got {n} twice")
     jobs = [
         (n, derive_seed(base_seed, n, t), t, y_factor, s2_l)
         for n in n_values

@@ -11,9 +11,10 @@ The same subdivision drives a developing map (``cusps.develop_strip``):
 unrolling a cusp of degree d into its width-d strip puts one ideal
 triangle under each integer interval of the top row, and crossing a
 side replaces an interval endpoint by the mediant.  Tracking which
-surface triangle each developed copy comes from yields the set of
-triangles met by a cusp's depth-l horoball.  All vertex coordinates are
-exact rationals.
+surface triangle each developed copy comes from yields the triangle
+indices met by a cusp's depth-l horoball.  The level rows come from one
+list of gaps with integer (numerator, denominator) ends; only
+``vertex_row`` and ``enumerate_level`` build Fractions.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
     "FareyTriangle",
-    "DevelopedTriangle",
-    "mediant",
     "vertex_row",
     "enumerate_level",
     "intersects_strip",
@@ -43,19 +42,6 @@ __all__ = [
 LEVEL_CAP = 30
 
 
-def mediant(p: Fraction, q: Fraction) -> Fraction:
-    """Mediant (a+c)/(b+d) of p = a/b < q = c/d.
-
-    For consecutive row vertices the result is already in lowest terms;
-    Fraction normalisation reduces any other input defensively.
-    """
-    p = Fraction(p)
-    q = Fraction(q)
-    if not p < q:
-        raise ValueError(f"need p < q, got p={p}, q={q}")
-    return Fraction(p.numerator + q.numerator, p.denominator + q.denominator)
-
-
 @dataclass(frozen=True)
 class FareyTriangle:
     """Ideal triangle (left, apex, right) created at a subdivision level."""
@@ -66,47 +52,36 @@ class FareyTriangle:
     level: int
 
 
-@dataclass(frozen=True)
-class DevelopedTriangle:
-    """A surface triangle developed into a cusp strip.
+def _gaps(m: int, lowest: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Gaps of the vertex row after m - lowest rounds of mediant insertion.
 
-    ``vertices`` is (left, apex, right) with apex = math.inf for the
-    top-row triangles whose third vertex is the cusp itself.
-    ``entry_edge`` is the dart indexing the side the development
-    crossed to enter this triangle (None for the top row).
+    Each end is a (numerator, denominator) pair.  The ends a/b < c/d of
+    every gap satisfy bc - ad = 1, so each mediant is in lowest terms.
     """
-
-    surface_triangle: int
-    entry_edge: int | None
-    vertices: tuple
+    if m < lowest:
+        raise ValueError(f"m must be >= {lowest}, got {m}")
+    if m > LEVEL_CAP:
+        raise ValueError(f"m={m} exceeds cap {LEVEL_CAP}")
+    gaps = [((0, 1), (1, 1))]
+    for _ in range(m - lowest):
+        nxt = []
+        for p, r in gaps:
+            mid = (p[0] + r[0], p[1] + r[1])
+            nxt += [(p, mid), (mid, r)]
+        gaps = nxt
+    return gaps
 
 
 def vertex_row(m: int) -> list[Fraction]:
     """Vertex row after m rounds of mediant insertion (2^m + 1 points)."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m > LEVEL_CAP:
-        raise ValueError(f"m={m} exceeds cap {LEVEL_CAP}")
-    row = [Fraction(0), Fraction(1)]
-    for _ in range(m):
-        nxt = []
-        for a, b in zip(row, row[1:]):
-            nxt.append(a)
-            nxt.append(mediant(a, b))
-        nxt.append(row[-1])
-        row = nxt
-    return row
+    return [Fraction(*p) for p, _ in _gaps(m, 0)] + [Fraction(1)]
 
 
 def enumerate_level(m: int) -> list[FareyTriangle]:
     """The 2^(m-1) triangles created at subdivision step m >= 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > LEVEL_CAP:
-        raise ValueError(f"m={m} exceeds cap {LEVEL_CAP}")
-    row = vertex_row(m - 1)
     return [
-        FareyTriangle(a, mediant(a, b), b, m) for a, b in zip(row, row[1:])
+        FareyTriangle(Fraction(a, b), Fraction(a + c, b + d), Fraction(c, d), m)
+        for (a, b), (c, d) in _gaps(m, 1)
     ]
 
 
@@ -157,32 +132,23 @@ def m_bound(l) -> int:
     return math.ceil(3 * exact_l(l) * n_bound(l))
 
 
-def develop_horoball(fd: FaceDecomposition, j: int, l) -> list[DevelopedTriangle]:
-    """Developed triangles of cusp j's strip meeting the horoball {y > d_j/l}.
+def develop_horoball(fd: FaceDecomposition, j: int, l) -> list[int]:
+    """Surface triangle of each developed triangle of cusp j's strip that
+    meets the horoball {y > d_j/l}.
 
-    The top row comes first, one triangle per dart of the face cycle
-    carrying the corner dart of that walk position; then, in the order
-    of ``cusps.develop_strip``, every triangle below it whose apex height
-    1/(2 p_den r_den) exceeds d_j/l.  Heights fall with depth, so this
-    also bounds the depth: p_den r_den is 1 at depth 1 and grows by at
-    least 1 per level, so every developed triangle has
-    2 d_j depth <= 2 d_j p_den r_den < l.
-
-    For d_j > l the horoball stays above the canonical loop and the
-    development is empty.
+    First the top row, the triangle of each corner dart of the face cycle
+    in walk order; then, in ``cusps.develop_strip`` order, the triangle of
+    each entry dart whose apex height 1/(2 p_den r_den) exceeds d_j/l.
+    Heights fall with depth and p_den r_den >= depth, so every developed
+    triangle has 2 d_j depth < l.  For d_j > l the horoball stays above
+    the canonical loop and the development is empty.
     """
     lq = exact_l(l)
     d_j = fd.degrees[j]
     if d_j > lq:
         return []
-    out = [
-        DevelopedTriangle(corner // 3, None, (Fraction(t), math.inf, Fraction(t + 1)))
-        for t, corner in enumerate(fd.faces[j])
-    ]
-    for a, p, r in develop_strip(fd, j, lambda p, r: 2 * d_j * p[1] * r[1] < lq):
-        mid = Fraction(p[0] + r[0], p[1] + r[1])
-        out.append(DevelopedTriangle(a // 3, a, (Fraction(*p), mid, Fraction(*r))))
-    return out
+    below = develop_strip(fd, j, lambda p, r: 2 * d_j * p[1] * r[1] < lq)
+    return [c // 3 for c in fd.faces[j]] + [a // 3 for a, _, _ in below]
 
 
 def classify_segments(
@@ -198,13 +164,16 @@ def classify_segments(
     some cusp of degree <= l; ``g`` is not read.  Triangle granularity
     makes this a conservative overcount of actual trapezium contact, but
     each small cusp still contributes at most 3 * d_j * n_bound(l) <=
-    m_bound(l) darts, so |s2| <= m_bound(l) * lht.
+    m_bound(l) darts, so |s2| <= m_bound(l) * lht.  Exactly, cusp j's
+    development holds d_j * (1 + count_intersecting(l / d_j)) triangles:
+    its top row, and below each of its d_j columns the Farey triangles
+    that reach into {y > d_j/l}.
     """
     lq = exact_l(l)
     hot: set[int] = set()
     for j, d in enumerate(fd.degrees):
         if d <= lq:
-            hot.update(dt.surface_triangle for dt in develop_horoball(fd, j, l))
+            hot.update(develop_horoball(fd, j, l))
     return frozenset(
         d for t in hot for d in (3 * t, 3 * t + 1, 3 * t + 2) if fd.label[d] - 1 in partition.i1
     )

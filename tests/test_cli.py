@@ -257,6 +257,18 @@ class TestFarey:
         assert code == 2
         assert out == "" and "exceeds cap" in err
 
+    @pytest.mark.parametrize("level", ["17", "30", "0"])
+    def test_level_outside_listable_range_exits_2(self, capsys, level):
+        # a listing holds 2^(level-1) triangles; 16 is the deepest accepted
+        code, out, err = run_cli(capsys, "farey", "--l", "4", "--level", level)
+        assert code == 2
+        assert out == "" and "--level" in err
+
+    def test_level_twelve_lists(self, capsys):
+        code, out, _ = run_cli(capsys, "farey", "--l", "4", "--level", "12")
+        assert code == 0
+        assert len(json.loads(out)["triangles"]) == 2**11
+
     def test_count_above_bound_exits_1_before_printing(self, capsys, monkeypatch):
         monkeypatch.setattr(farey, "n_bound", lambda l: 0)
         code, out, err = run_cli(capsys, "farey", "--l", "4")
@@ -363,6 +375,16 @@ class TestGrid:
         assert (tmp_path / "default" / "summary.json").read_bytes() == (
             tmp_path / "serial" / "summary.json"
         ).read_bytes()
+
+    def test_repeated_n_exits_2_before_running(self, capsys, tmp_path):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            capsys, "grid", "--n-list", "50,50", "--trials", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid n values must be distinct, got 50 twice\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1", "x"])
     def test_bad_workers_exit_2_before_running(self, capsys, tmp_path, workers):

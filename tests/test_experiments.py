@@ -209,6 +209,12 @@ class TestRunGrid:
                 run_grid(*grid, out_path=out_path, workers=workers)
         assert not out_path.parent.exists()  # rejected inputs make no directory
 
+    def test_repeated_n_rejected(self, tmp_path):
+        out_path = tmp_path / "d" / "trials.csv"
+        with pytest.raises(ValueError, match=r"^grid n values must be distinct, got 50 twice$"):
+            run_grid([50, 10, 50], 2, 3, out_path=out_path, workers=1)
+        assert not out_path.parent.exists()
+
     def test_unmakeable_directory_fails_before_first_trial(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(experiments, "run_trial", lambda *args: calls.append(args))

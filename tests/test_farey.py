@@ -15,7 +15,6 @@ from belyi.farey import (
     enumerate_level,
     intersects_strip,
     m_bound,
-    mediant,
     n_bound,
     vertex_row,
 )
@@ -25,25 +24,6 @@ F = Fraction
 
 THETA_TORUS = [(0, 3), (1, 4), (2, 5)]
 THETA_SPHERE = [(0, 3), (1, 5), (2, 4)]
-
-
-class TestMediant:
-    def test_first(self):
-        assert mediant(F(0), F(1)) == F(1, 2)
-
-    def test_second_level(self):
-        assert mediant(F(0), F(1, 2)) == F(1, 3)
-        assert mediant(F(1, 2), F(1)) == F(2, 3)
-
-    def test_lowest_terms(self):
-        m = mediant(F(1, 3), F(2, 5))
-        assert math.gcd(m.numerator, m.denominator) == 1
-
-    def test_out_of_order(self):
-        with pytest.raises(ValueError, match=r"^need p < q, got p=1/2, q=1/3$"):
-            mediant(F(1, 2), F(1, 3))
-        with pytest.raises(ValueError, match=r"^need p < q, got p=1/2, q=1/2$"):
-            mediant(F(1, 2), F(1, 2))
 
 
 class TestEnumerateLevel:
@@ -207,16 +187,15 @@ class TestHoroballFootprint:
         g = from_matching(1, THETA_TORUS)
         fd = faces(g)
         assert fd.degrees == (6,)
-        assert {dt.surface_triangle for dt in develop_horoball(fd, 0, 4)} == set()
+        assert develop_horoball(fd, 0, 4) == []
 
     def test_torus_at_depth_six(self):
         g = from_matching(1, THETA_TORUS)
         fd = faces(g)
         # d = l = 6: horoball reaches exactly the canonical loop; top row only
         dev = develop_horoball(fd, 0, 6)
-        assert len(dev) == 6
-        assert all(dt.entry_edge is None for dt in dev)
-        assert {dt.surface_triangle for dt in develop_horoball(fd, 0, 6)} == {0, 1}
+        assert dev == [c // 3 for c in fd.faces[0]]
+        assert set(dev) == {0, 1}
 
     def test_sphere_top_row_only_at_l4(self):
         g = from_matching(1, THETA_SPHERE)
@@ -224,29 +203,34 @@ class TestHoroballFootprint:
         for j in range(3):
             dev = develop_horoball(fd, j, 4)
             assert len(dev) == 2  # second row apex height 1/2 is not > 2/4
-            assert {dt.surface_triangle for dt in develop_horoball(fd, j, 4)} == {0, 1}
+            assert set(dev) == {0, 1}
 
     def test_sphere_development_at_l6(self):
         g = from_matching(1, THETA_SPHERE)
         fd = faces(g)
-        dev = develop_horoball(fd, 0, 6)
-        by_vertices = {dt.vertices: dt for dt in dev}
-        assert by_vertices[(F(0), math.inf, F(1))].surface_triangle == 0
-        assert by_vertices[(F(1), math.inf, F(2))].surface_triangle == 1
+        assert fd.degrees[0] == 2
+        # top row over [0, 1] and [1, 2], then the row below it
+        assert develop_horoball(fd, 0, 6) == [0, 1, 1, 0]
+        below = develop_strip(fd, 0, lambda p, r: 2 * 2 * p[1] * r[1] < 6)
+        by_vertices = {(p, r): a for a, p, r in below}
         # crossing below the top row lands on the other triangle each time
-        assert by_vertices[(F(0), F(1, 2), F(1))].surface_triangle == 1
-        assert by_vertices[(F(1), F(3, 2), F(2))].surface_triangle == 0
+        assert {v: a // 3 for v, a in by_vertices.items()} == {
+            ((0, 1), (1, 1)): 1,
+            ((1, 1), (2, 1)): 0,
+        }
+        # each entry dart is the partner of the crossed top-row side
+        for t, c in enumerate(fd.faces[0]):
+            assert g.matching[rotation(c)] == by_vertices[(t, 1), (t + 1, 1)]
 
     def test_developed_vertices_stay_in_strip(self):
         g = sample(50, 4)
         fd = faces(g)
         for j, d in enumerate(fd.degrees):
             if d <= 6:
-                for dt in develop_horoball(fd, j, 6):
-                    left, apex, right = dt.vertices
-                    assert F(0) <= left < right <= F(d)
-                    if apex != math.inf:
-                        assert left < apex < right
+                enter = lambda p, r, d=d: 2 * d * p[1] * r[1] < 6
+                for _, p, r in develop_strip(fd, j, enter):
+                    left, apex, right = F(*p), F(p[0] + r[0], p[1] + r[1]), F(*r)
+                    assert F(0) <= left < apex < right <= F(d)
 
     def test_footprint_size_bound_on_sample(self):
         # n = 50, seed 4 has degree-2 faces
@@ -256,7 +240,7 @@ class TestHoroballFootprint:
         assert small
         assert 2 * n_bound(4) == 14
         for j in small:
-            fp = {dt.surface_triangle for dt in develop_horoball(fd, j, 4)}
+            fp = set(develop_horoball(fd, j, 4))
             assert len(fp) <= 14
 
     def test_footprint_size_bound_many_samples(self):
@@ -265,7 +249,7 @@ class TestHoroballFootprint:
             fd = faces(g)
             for j, d in enumerate(fd.degrees):
                 if d <= 5:
-                    fp = {dt.surface_triangle for dt in develop_horoball(fd, j, 5)}
+                    fp = set(develop_horoball(fd, j, 5))
                     assert len(fp) <= d * n_bound(5)
 
     def test_entry_edge_belongs_to_entered_triangle(self):
@@ -274,10 +258,27 @@ class TestHoroballFootprint:
             fd = faces(g)
             for j, d in enumerate(fd.degrees):
                 if d <= 8:
-                    for dt in develop_horoball(fd, j, 8):
-                        if dt.entry_edge is not None:
-                            assert dt.entry_edge // 3 == dt.surface_triangle
-                        assert 0 <= dt.surface_triangle < g.num_vertices
+                    dev = develop_horoball(fd, j, 8)
+                    enter = lambda p, r, d=d: 2 * d * p[1] * r[1] < 8
+                    # below the top row, each entry is the entry dart's triangle
+                    assert dev[d:] == [a // 3 for a, _, _ in develop_strip(fd, j, enter)]
+                    assert all(0 <= t < g.num_vertices for t in dev)
+
+    def test_predicted_size(self):
+        # the top row, then below each of the d_j columns the Farey
+        # triangles reaching into {y > d_j/l}
+        cusps = 0
+        for s in range(30):
+            fd = faces(sample(60, derive_seed(5, s)))
+            for l in (2, 3, F(5, 2), 4, 6, 8, 12, 20, 37.5):
+                for j, d_j in enumerate(fd.degrees):
+                    dev = develop_horoball(fd, j, l)
+                    if d_j > l:
+                        assert dev == []
+                    else:
+                        assert len(dev) == d_j * (1 + count_intersecting(F(l) / d_j))
+                        cusps += 1
+        assert cusps == 766
 
     @pytest.mark.parametrize("l", [6, 20, 37.5])
     def test_depth_below_l_over_2d(self, l):
@@ -334,7 +335,7 @@ def develop_strips(g, fd, l):
             stack.append((m[rotation(corner)], F(t), F(t + 1)))
         while stack:
             a, p, r = stack.pop()
-            mid = mediant(p, r)
+            mid = F(p.numerator + r.numerator, p.denominator + r.denominator)
             entered.add((j, a, (p, mid, r)))
             place(p, a)
             place(r, rotation(a))
@@ -356,14 +357,19 @@ class TestLargeCuspsAgainstDevelopment:
                 assert has_large_cusps(fd, l) is (not binding), f"l={l}, trial {k}"
                 if binding and min(x.denominator for _, x, _ in binding) >= 2:
                     deep_only += 1
-                # the development reproduces develop_horoball's triangles
+                # develop_strip under develop_horoball's predicate yields
+                # entered triangles, and develop_horoball reads their darts
                 developed = set()
                 for j, d in enumerate(fd.degrees):
                     if d <= l:
-                        for dt in develop_horoball(fd, j, l):
-                            if dt.entry_edge is not None:
-                                assert (j, dt.entry_edge, dt.vertices) in entered
-                                developed.add((j, dt.entry_edge, dt.vertices))
+                        enter = lambda p, r, d=d: 2 * d * p[1] * r[1] < l
+                        below = list(develop_strip(fd, j, enter))
+                        for a, p, r in below:
+                            mid = F(p[0] + r[0], p[1] + r[1])
+                            developed.add((j, a, (F(*p), mid, F(*r))))
+                        assert develop_horoball(fd, j, l) == [
+                            c // 3 for c in fd.faces[j]
+                        ] + [a // 3 for a, _, _ in below]
                 # ... and all of them: every triangle with apex height above d_j/l
                 assert developed == {
                     (j, a, (p, mid, r))
@@ -379,7 +385,7 @@ def s2_by_definition(g, fd, partition, l):
     hot = set()
     for j, degree in enumerate(fd.degrees):
         if degree <= l:
-            hot |= {dt.surface_triangle for dt in develop_horoball(fd, j, l)}
+            hot |= set(develop_horoball(fd, j, l))
     return {d for i in partition.i1 for d in fd.faces[i] if d // 3 in hot}
 
 
