@@ -30,7 +30,6 @@ __all__ = [
     "FareyTriangle",
     "vertex_row",
     "enumerate_level",
-    "intersects_strip",
     "count_intersecting",
     "n_bound",
     "m_bound",
@@ -44,12 +43,11 @@ LEVEL_CAP = 30
 
 @dataclass(frozen=True)
 class FareyTriangle:
-    """Ideal triangle (left, apex, right) created at a subdivision level."""
+    """Ideal triangle (left, apex, right) of the subdivision."""
 
     left: Fraction
     apex: Fraction
     right: Fraction
-    level: int
 
 
 def _gaps(m: int, lowest: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -80,18 +78,9 @@ def vertex_row(m: int) -> list[Fraction]:
 def enumerate_level(m: int) -> list[FareyTriangle]:
     """The 2^(m-1) triangles created at subdivision step m >= 1."""
     return [
-        FareyTriangle(Fraction(a, b), Fraction(a + c, b + d), Fraction(c, d), m)
+        FareyTriangle(Fraction(a, b), Fraction(a + c, b + d), Fraction(c, d))
         for (a, b), (c, d) in _gaps(m, 1)
     ]
-
-
-def intersects_strip(t: FareyTriangle, l) -> bool:
-    """Whether the triangle reaches into the open strip {y > 1/l}.
-
-    Reduces to the apex height of the outer semicircle; exact when l is
-    rational (ints and floats are converted exactly).
-    """
-    return (t.right - t.left) * exact_l(l) > 2
 
 
 def count_intersecting(l) -> int:

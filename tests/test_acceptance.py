@@ -106,11 +106,48 @@ def test_criterion_2_identity_suite():
     )
 
 
-def test_criterion_3_lht_growth_slope():
-    records = run_grid([100, 1000, 10000], 100, derive_seed(BASE_SEED, "growth"))
-    _, slope = lht_growth_fit(records)
+@pytest.fixture(scope="module")
+def growth_records():
+    return run_grid([100, 1000, 10000], 100, derive_seed(BASE_SEED, "growth"))
+
+
+def test_criterion_3_lht_growth_slope(growth_records):
+    _, slope = lht_growth_fit(growth_records)
     ok = 0.7 <= slope <= 1.3
     assert report(3, ok, f"mean face count vs log n has slope {slope:.3f} in [0.7, 1.3]")
+
+
+def test_criterion_3_predicted_face_statistics(growth_records):
+    # The face permutation of a Brooks-Makover surface is asymptotically
+    # uniform on its coset of A_6n (Gamburd), so the faces follow the
+    # cycles of a uniform permutation of N = 6n: lht has mean H_N and
+    # variance H_N - H2_N, and max_d / N has mean tending to the
+    # Golomb-Dickman constant (Shepp-Lloyd), whose spread is taken as
+    # 0.20, the largest measured.  The tolerance of 5 standard errors
+    # was fixed before the test was run.
+    golomb_dickman = 0.62433
+    worst = 0.0
+    for n in (100, 1000, 10000):
+        records = [r for r in growth_records if r.n == n]
+        big_n = 6 * n
+        h1 = math.fsum(1 / k for k in range(1, big_n + 1))
+        h2 = math.fsum(1 / k**2 for k in range(1, big_n + 1))
+        lht_z = (statistics.fmean(r.lht for r in records) - h1) / math.sqrt(
+            (h1 - h2) / len(records)
+        )
+        max_z = (
+            statistics.fmean(r.max_degree / big_n for r in records) - golomb_dickman
+        ) / (0.20 / math.sqrt(len(records)))
+        assert abs(lht_z) <= 5, (n, lht_z)
+        assert abs(max_z) <= 5, (n, max_z)
+        worst = max(worst, abs(lht_z), abs(max_z))
+    assert report(
+        3,
+        True,
+        f"mean lht within 5 standard errors of H_6n and mean max_d/6n within "
+        f"5 * 0.20/sqrt(100) of {golomb_dickman} at n = 1e2, 1e3, 1e4 "
+        f"(largest |z| {worst:.2f})",
+    )
 
 
 def test_criterion_4_cheeger_bound_statistics():

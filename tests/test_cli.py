@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -224,6 +225,73 @@ class TestCheeger:
         data = json.loads(out)
         assert 0 < data["h_upper"] < 1
         assert data["boundary_segments"] <= 2 * 100000
+
+
+class TestCollectorPause:
+    """``cheeger --graph`` and ``sample`` pause the cyclic collector while
+    they parse or build the pair lists, and leave it as they found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_no_collection_while_loading(self, tmp_path):
+        # 6000 pair lists, several gen-0 thresholds' worth with the collector on
+        g = sample(2000, 1)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g.to_json_dict()))
+        collections = []
+
+        def hook(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            loaded = cli._load_graph(str(path))
+        finally:
+            gc.callbacks.remove(hook)
+        assert collections == []
+        assert loaded == g
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "case, expected",
+        [("valid", 0), ("true-dart", 2), ("missing", 2), ("broken", 1), ("no-cut", 3), ("sample", 0)],
+    )
+    def test_state_restored(self, capsys, tmp_path, monkeypatch, enabled, case, expected):
+        # n = 5, seed 3 is a known connected sample whose cheeger run succeeds
+        data = sample(5, 3).to_json_dict()
+        if case == "true-dart":
+            data["matching"][0] = [True, data["matching"][0][1]]
+        if case == "broken":
+            monkeypatch.setattr(cheeger, "invariant_failures", lambda g, fd, division: ["boom"])
+        if case == "no-cut":
+
+            def no_cut(*args):
+                raise cheeger.EmptyI1("no large cusp")
+
+            monkeypatch.setattr(cheeger, "cheeger_upper_bound", no_cut)
+        path = tmp_path / "g.json"
+        if case != "missing":
+            path.write_text(json.dumps(data))
+        argv = ("sample", "--n", "5", "--seed", "3", "--out", str(tmp_path / "out.json"))
+        if case != "sample":
+            argv = ("cheeger", "--graph", str(path))
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == expected
+        assert gc.isenabled() is enabled
 
 
 class TestFarey:

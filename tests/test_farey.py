@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from belyi.cheeger import in_f_star
-from belyi.cusps import CuspPartition, develop_strip, has_large_cusps, partition_cusps
+from belyi.cusps import CuspPartition, develop_strip, exact_l, has_large_cusps, partition_cusps
 from belyi.farey import (
     FareyTriangle,
     classify_segments,
     count_intersecting,
     develop_horoball,
     enumerate_level,
-    intersects_strip,
     m_bound,
     n_bound,
     vertex_row,
@@ -26,14 +25,24 @@ THETA_TORUS = [(0, 3), (1, 4), (2, 5)]
 THETA_SPHERE = [(0, 3), (1, 5), (2, 4)]
 
 
+def intersects_strip(t: FareyTriangle, l) -> bool:
+    """Oracle for ``count_intersecting``: whether the triangle reaches into
+    the open strip {y > 1/l}.
+
+    Reduces to the apex height of the outer semicircle; exact when l is
+    rational (ints and floats are converted exactly).
+    """
+    return (t.right - t.left) * exact_l(l) > 2
+
+
 class TestEnumerateLevel:
     def test_level_one(self):
-        assert enumerate_level(1) == [FareyTriangle(F(0), F(1, 2), F(1), 1)]
+        assert enumerate_level(1) == [FareyTriangle(F(0), F(1, 2), F(1))]
 
     def test_level_two(self):
         assert enumerate_level(2) == [
-            FareyTriangle(F(0), F(1, 3), F(1, 2), 2),
-            FareyTriangle(F(1, 2), F(2, 3), F(1), 2),
+            FareyTriangle(F(0), F(1, 3), F(1, 2)),
+            FareyTriangle(F(1, 2), F(2, 3), F(1)),
         ]
 
     def test_sizes_and_cumulative_count(self):
@@ -86,13 +95,13 @@ class TestEnumerateLevel:
 
 class TestIntersectsStrip:
     def test_examples(self):
-        top = FareyTriangle(F(0), F(1, 2), F(1), 1)
+        top = FareyTriangle(F(0), F(1, 2), F(1))
         assert intersects_strip(top, 4) is True  # apex height 1/2 > 1/4
         assert intersects_strip(top, 1.5) is False  # 1/2 < 2/3
         assert intersects_strip(top, 10**9) is True
 
     def test_boundary_is_strict(self):
-        top = FareyTriangle(F(0), F(1, 2), F(1), 1)
+        top = FareyTriangle(F(0), F(1, 2), F(1))
         assert intersects_strip(top, 2) is False  # apex height exactly 1/2
 
 
@@ -164,7 +173,7 @@ class TestLengthCheck:
     def test_one_message_for_nonpositive_l(self):
         g = from_matching(1, THETA_TORUS)
         fd = faces(g)
-        top = FareyTriangle(F(0), F(1, 2), F(1), 1)
+        top = FareyTriangle(F(0), F(1, 2), F(1))
         partition = CuspPartition(i1=frozenset({0}), i2=frozenset(), threshold=1.0)
         calls = [
             lambda l: has_large_cusps(fd, l),
