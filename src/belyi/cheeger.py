@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .cusps import (
-    CuspPartition,
     degree_threshold,
     has_large_cusps,
     partition_cusps,
@@ -47,7 +46,6 @@ from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
     "EmptyI1",
-    "DisconnectedSurface",
     "CuspCut",
     "Division",
     "build_cusp_cut",
@@ -57,16 +55,8 @@ __all__ = [
 ]
 
 
-# vote byte (1 where a triangle's majority is A) -> its label character
-_LABEL_OF_VOTE = bytes.maketrans(b"\x00\x01", b"BA")
-
-
 class EmptyI1(RuntimeError):
     """No cusp exceeds the degree threshold; no cut is fabricated."""
-
-
-class DisconnectedSurface(RuntimeError):
-    """The pipeline needs a connected surface."""
 
 
 @dataclass(frozen=True)
@@ -92,19 +82,16 @@ class CuspCut:
 class Division:
     """A two-label division of the whole surface.
 
-    Cusp sides of large cusps carry fixed labels (side 1 A, side 2 B),
-    small cusps carry B, and ``triangle_labels[v]``, one character of a
-    string of ``A`` and ``B``, is the majority label of triangle v.
-    ``cuts`` follow the sorted large cusps of ``partition``.
-    ``minority`` is a 6n-byte mask, 1 at each minority dart and 0
-    elsewhere (left out of ``repr``); the full boundary is those unit
-    segments plus the cut curves.
+    ``i1`` is the set of large cusps and ``cuts`` their cut curves, in
+    sorted cusp order.  Side 1 of each cut is A; side 2 and every small
+    cusp (those outside ``i1``) are B; each triangle takes the majority
+    label of its three darts.  ``minority`` is a 6n-byte mask, 1 at each
+    minority dart and 0 elsewhere (left out of ``repr``); the full
+    boundary is those unit segments plus the cut curves.
     """
 
-    n: int
-    partition: CuspPartition
+    i1: frozenset[int]
     cuts: tuple[CuspCut, ...]
-    triangle_labels: str
     minority: bytes = field(repr=False)
     boundary_length: float
     area_a: float
@@ -113,7 +100,7 @@ class Division:
 
     @property
     def num_i1(self) -> int:
-        return len(self.partition.i1)
+        return len(self.i1)
 
     @property
     def boundary_segments(self) -> frozenset[int]:
@@ -151,8 +138,8 @@ def cheeger_upper_bound(
     n: int,
     y_factor: float = 1.0,
 ) -> Division:
-    """Partition the cusps, cut the large ones, label every triangle and
-    measure the division.
+    """Find the large cusps, cut them, label every triangle and measure
+    the division.
 
     Darts in the first k walk positions of a large-cusp face (the face
     cycle is anchored at its minimal dart) border side 1 and carry A;
@@ -161,15 +148,19 @@ def cheeger_upper_bound(
     and those minority darts are the unit boundary segments.  The
     division is an explicit separating set, so ``h_upper`` is a true
     upper bound for the Cheeger constant of the surface.
+
+    Both areas are positive: n / (log n)^2 > 1.84 for every n >= 3, so a
+    large cusp has degree d >= 2, its cut has k >= 1 and y > 1, side 1
+    has area k(1 - 1/y) > 0 and side 2 at least d - k >= 1.
     """
     if n != g.n:
         raise ValueError(f"n={n} does not match the graph's n={g.n}")
     if not fd.connected:
-        raise DisconnectedSurface("the sampled graph is disconnected")
-    partition = partition_cusps(fd, n)
-    if not partition.i1:
+        raise ValueError("the sampled graph is disconnected")
+    i1 = partition_cusps(fd, n)
+    if not i1:
         raise EmptyI1("no cusp exceeds the degree threshold")
-    cuts = tuple(build_cusp_cut(i, fd.degrees[i], n, y_factor) for i in sorted(partition.i1))
+    cuts = tuple(build_cusp_cut(i, fd.degrees[i], n, y_factor) for i in sorted(i1))
 
     side_a = bytearray(g.num_darts)  # 1 where the dart borders a side-1 arc
     for cut in cuts:
@@ -182,7 +173,6 @@ def cheeger_upper_bound(
     s0, s1, s2 = (int.from_bytes(side_a[r::3], "little") for r in range(3))
     majority = (s0 & s1) | (s1 & s2) | (s0 & s2)
     num_v = g.num_vertices
-    labels = majority.to_bytes(num_v, "little").translate(_LABEL_OF_VOTE).decode("ascii")
     # a dart is a minority dart where its side differs from its triangle's majority
     minority = bytearray(g.num_darts)
     for r, side in enumerate((s0, s1, s2)):
@@ -190,21 +180,17 @@ def cheeger_upper_bound(
 
     boundary_length = float(minority.count(1)) + math.fsum(c.eta_length for c in cuts)
     tri_area = small_triangle_area()
-    num_a_triangles = labels.count("A")
+    num_a_triangles = majority.bit_count()
     area_a = math.fsum(c.side1_area for c in cuts) + tri_area * num_a_triangles
+    small_cusp_mass = fd.sum_degrees - sum(fd.degrees[i] for i in i1)  # an exact int
     area_b = (
         math.fsum(c.side2_area for c in cuts)
-        + math.fsum(fd.degrees[i] for i in partition.i2)
+        + small_cusp_mass
         + tri_area * (num_v - num_a_triangles)
     )
-    if not (area_a > 0 and area_b > 0):
-        raise ValueError("both sides of the division must have positive area")
-
     return Division(
-        n=g.n,
-        partition=partition,
+        i1=i1,
         cuts=cuts,
-        triangle_labels=labels,
         minority=bytes(minority),
         boundary_length=boundary_length,
         area_a=area_a,
@@ -237,8 +223,8 @@ def invariant_failures(
     """Every identity a sample must satisfy, one message per failure.
 
     The graph's identities always; with ``division`` also its areas,
-    degree cover and mass floor, boundary darts and length, quotient and
-    area imbalance.  A non-empty result means a bug.
+    large-cusp mass floor, boundary darts and length, quotient and area
+    imbalance.  A non-empty result means a bug.
     """
     n = g.n
     failures: list[str] = []
@@ -254,10 +240,7 @@ def invariant_failures(
 
     if not math.isclose(division.area_a + division.area_b, surface_area(n), abs_tol=1e-9):
         failures.append("division areas do not conserve total area")
-    mass_i1 = sum(fd.degrees[i] for i in division.partition.i1)
-    mass_i2 = sum(fd.degrees[i] for i in division.partition.i2)
-    if mass_i1 + mass_i2 != 6 * n:
-        failures.append("partition does not cover the degrees")
+    mass_i1 = sum(fd.degrees[i] for i in division.i1)
     # large cusps hold all degree mass except at most lht small cusps of
     # at most n / (log n)^2 each
     if mass_i1 < 6 * n - fd.lht * degree_threshold(n) - 1e-9:
@@ -273,12 +256,12 @@ def invariant_failures(
     quotient = division.h_upper * min(division.area_a, division.area_b)
     if not math.isclose(quotient, division.boundary_length, rel_tol=1e-12):
         failures.append("quotient inconsistent with boundary length")
-    # area_b - area_a = sum_cuts (side2 - side1) + mass_i2 + (pi - 3)(#B - #A)
-    # with |#B - #A| <= 2n, so the triangle inequality bounds the imbalance
-    # by the sum of the three terms' absolute values.  A cut's sides
-    # differ by (d - 2k) + 2k/y, which is not bounded by 1.
+    # area_b - area_a = sum_cuts (side2 - side1) + (degree mass outside i1)
+    # + (pi - 3)(#B - #A) with |#B - #A| <= 2n, so the triangle inequality
+    # bounds the imbalance by the sum of the three terms' absolute values.
+    # A cut's sides differ by (d - 2k) + 2k/y, which is not bounded by 1.
     sides = math.fsum(abs(c.side2_area - c.side1_area) for c in division.cuts)
-    allowance = 2 * n * small_triangle_area() + sides + mass_i2
+    allowance = 2 * n * small_triangle_area() + sides + (fd.sum_degrees - mass_i1)
     if abs(division.area_a - division.area_b) > allowance + 1e-9:
         failures.append("area imbalance beyond allowance")
     return failures

@@ -1,5 +1,5 @@
-"""Cusps of the glued-triangle surface: their areas, the large/small
-partition, the large-cusp (embedded horoball) test and the strip walker.
+"""Cusps of the glued-triangle surface: their areas, the set of large
+cusps, the large-cusp (embedded horoball) test and the strip walker.
 
 All quantities live in the complete hyperbolic metric of the punctured
 surface built from ideal triangles, where everything has an exact upper
@@ -18,29 +18,18 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .ribbon import FaceDecomposition, rotation
 
 __all__ = [
-    "CuspPartition",
     "surface_area",
     "small_triangle_area",
     "partition_cusps",
     "has_large_cusps",
     "develop_strip",
 ]
-
-
-@dataclass(frozen=True)
-class CuspPartition:
-    """Split of the cusps into large (i1) and small (i2) by degree."""
-
-    i1: frozenset[int]
-    i2: frozenset[int]
-    threshold: float
 
 
 def surface_area(n: int) -> float:
@@ -73,12 +62,11 @@ def degree_threshold(n: int) -> float:
     return n / math.log(n) ** 2
 
 
-def partition_cusps(fd: FaceDecomposition, n: int) -> CuspPartition:
-    """Classify cusps: i1 = degrees strictly above n / (log n)^2."""
+def partition_cusps(fd: FaceDecomposition, n: int) -> frozenset[int]:
+    """The large cusps I1: the faces of degree strictly above
+    ``degree_threshold(n)``.  Every other cusp is small."""
     threshold = degree_threshold(n)
-    i1 = frozenset(i for i, d in enumerate(fd.degrees) if d > threshold)
-    i2 = frozenset(range(fd.lht)) - i1
-    return CuspPartition(i1, i2, threshold)
+    return frozenset(i for i, d in enumerate(fd.degrees) if d > threshold)
 
 
 def has_large_cusps(fd: FaceDecomposition, l) -> bool:

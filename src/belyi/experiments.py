@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cheeger import DisconnectedSurface, EmptyI1, cheeger_upper_bound, invariant_failures
+from .cheeger import EmptyI1, cheeger_upper_bound, invariant_failures
 from .farey import classify_segments
 from .ribbon import BrokenInvariant, derive_seed, faces, sample
 
@@ -116,17 +116,16 @@ def run_trial(
     t0 = time.perf_counter()
     g = sample(n, seed)
     fd = faces(g)
-    status = "ok"
+    status = "ok" if fd.connected else "disconnected"
     division = None
     s2_size = None
-    try:
-        division = cheeger_upper_bound(g, fd, n, y_factor)
-        if s2_l is not None:
-            s2_size = len(classify_segments(g, fd, division.partition, s2_l))
-    except DisconnectedSurface:
-        status = "disconnected"
-    except EmptyI1:
-        status = "empty_i1"
+    if fd.connected:
+        try:
+            division = cheeger_upper_bound(g, fd, n, y_factor)
+            if s2_l is not None:
+                s2_size = len(classify_segments(g, fd, division.i1, s2_l))
+        except EmptyI1:
+            status = "empty_i1"
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     failures = invariant_failures(g, fd, division)
     if failures:

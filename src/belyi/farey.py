@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cusps import CuspPartition, develop_strip, exact_l
+from .cusps import develop_strip, exact_l
 from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
@@ -143,14 +143,15 @@ def develop_horoball(fd: FaceDecomposition, j: int, l) -> list[int]:
 def classify_segments(
     g: RibbonGraph,
     fd: FaceDecomposition,
-    partition: CuspPartition,
+    i1: frozenset[int],
     l,
 ) -> frozenset[int]:
     """The darts of large cusps in horoball contact (the set s2).
 
-    A dart of a cusp in ``partition.i1`` is in s2 when its triangle lies
-    in the footprint (the surface triangles of ``develop_horoball``) of
-    some cusp of degree <= l; ``g`` is not read.  Triangle granularity
+    A dart of a cusp in ``i1``, the large cusps of
+    ``cusps.partition_cusps``, is in s2 when its triangle lies in the
+    footprint (the surface triangles of ``develop_horoball``) of some
+    cusp of degree <= l; ``g`` is not read.  Triangle granularity
     makes this a conservative overcount of actual trapezium contact, but
     each small cusp still contributes at most 3 * d_j * n_bound(l) <=
     m_bound(l) darts, so |s2| <= m_bound(l) * lht.  Exactly, cusp j's
@@ -164,5 +165,5 @@ def classify_segments(
         if d <= lq:
             hot.update(develop_horoball(fd, j, l))
     return frozenset(
-        d for t in hot for d in (3 * t, 3 * t + 1, 3 * t + 2) if fd.label[d] - 1 in partition.i1
+        d for t in hot for d in (3 * t, 3 * t + 1, 3 * t + 2) if fd.label[d] - 1 in i1
     )

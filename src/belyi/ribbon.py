@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Sized
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "BrokenInvariant",
@@ -137,19 +136,20 @@ class FaceDecomposition:
         return sum(self.degrees)
 
 
-def from_matching(n: int, matching: Iterable[Sequence[int]]) -> RibbonGraph:
-    """Build a validated graph from a list of dart pairs.
+def from_matching(n: int, matching: Sequence[Sequence[int]]) -> RibbonGraph:
+    """Build a validated graph from a list (any sized sequence) of dart pairs.
 
     ``n`` and the darts must be ``int`` (not ``bool``), each entry a pair,
-    and the pairs must cover [0, 6n) exactly once with no self-pairs.
-    A sized ``matching`` of other than 3n pairs is rejected before the
-    6n-entry partner list is allocated.
+    and the pairs must cover [0, 6n) exactly once with no self-pairs.  A
+    ``matching`` of other than 3n pairs is rejected before the 6n-entry
+    partner list is allocated; 3n pairs of distinct in-range darts then
+    cover all 6n darts.
     """
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(matching, Sized) and len(matching) != 3 * n:
+    if len(matching) != 3 * n:
         raise ValueError(f"matching has {len(matching)} pairs, expected 3n = {3 * n}")
     total = 6 * n
     alpha = [-1] * total
@@ -172,8 +172,6 @@ def from_matching(n: int, matching: Iterable[Sequence[int]]) -> RibbonGraph:
             raise ValueError(f"dart {b} appears in more than one pair")
         alpha[a] = b
         alpha[b] = a
-    if -1 in alpha:
-        raise ValueError(f"dart {alpha.index(-1)} is not covered by any pair")
     return RibbonGraph(n, tuple(alpha))
 
 

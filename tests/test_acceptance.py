@@ -150,9 +150,14 @@ def test_criterion_3_predicted_face_statistics(growth_records):
     )
 
 
-def test_criterion_4_cheeger_bound_statistics():
+@pytest.fixture(scope="module")
+def cheeger_records():
+    return run_grid([1000, 100000], 50, derive_seed(BASE_SEED, "cheeger"))
+
+
+def test_criterion_4_cheeger_bound_statistics(cheeger_records):
     threshold = 2 / 3 + 0.05
-    records = run_grid([1000, 100000], 50, derive_seed(BASE_SEED, "cheeger"))
+    records = cheeger_records
     small = [r for r in records if r.n == 1000]
     large = [r for r in records if r.n == 100000]
     fraction = h_fraction_below(large, threshold)
@@ -166,6 +171,44 @@ def test_criterion_4_cheeger_bound_statistics():
         f"fraction below 2/3+0.05 at n=1e5: {fraction:.2f} (need >= 0.9); "
         f"median h: {median_large:.4f} at 1e5 < {median_small:.4f} at 1e3; "
         f"fraction below 0.75 nondecreasing in n: {trend_ok}",
+    )
+
+
+def test_criteria_3_4_predicted_cusp_counts(growth_records, cheeger_records):
+    # Under the same uniform-permutation limit as above, the number of
+    # cycles of length k tends to Poisson(1/k), independently in k.  So
+    # num_i1, the count of cycles longer than T = floor(n / log^2 n), has
+    # mean H_N - H_T and variance (H_N - H_T) - (H2_N - H2_T); min_d = 1
+    # has probability 1 - e^-1 and min_d >= 3 probability e^(-3/2), each
+    # checked with its binomial standard error.  The tolerance of 5
+    # standard errors was fixed before the test was run.
+    def harmonic(m, power):
+        return math.fsum(1 / k**power for k in range(1, m + 1))
+
+    p_one, p_three = 1 - math.exp(-1), math.exp(-1.5)
+    worst = 0.0
+    for grid in (growth_records, cheeger_records):
+        for n in sorted({r.n for r in grid}):
+            records = [r for r in grid if r.n == n and r.num_i1 is not None]
+            big_n, t = 6 * n, math.floor(n / math.log(n) ** 2)
+            mean = harmonic(big_n, 1) - harmonic(t, 1)
+            var = mean - (harmonic(big_n, 2) - harmonic(t, 2))
+            count = len(records)
+            z = [
+                (statistics.fmean(r.num_i1 for r in records) - mean) / math.sqrt(var / count),
+                (sum(r.min_degree == 1 for r in records) / count - p_one)
+                / math.sqrt(p_one * (1 - p_one) / count),
+                (sum(r.min_degree >= 3 for r in records) / count - p_three)
+                / math.sqrt(p_three * (1 - p_three) / count),
+            ]
+            assert count >= 45 and max(map(abs, z)) <= 5, (n, count, z)
+            worst = max(worst, *map(abs, z))
+    assert report(
+        3,
+        True,
+        f"mean num_i1 within 5 standard errors of H_6n - H_T, and P(min_d = 1), "
+        f"P(min_d >= 3) within 5 binomial standard errors of 1 - 1/e and e^(-3/2), "
+        f"on criterion 3's and criterion 4's grids (largest |z| {worst:.2f})",
     )
 
 

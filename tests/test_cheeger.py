@@ -7,7 +7,6 @@ import re
 import pytest
 
 from belyi.cheeger import (
-    DisconnectedSurface,
     EmptyI1,
     build_cusp_cut,
     cheeger_upper_bound,
@@ -18,9 +17,20 @@ from belyi.cusps import degree_threshold, partition_cusps, surface_area
 from belyi.ribbon import derive_seed, faces, from_matching, rotation, sample
 
 
-def _largest_cusp_moved_to_i2(fd, partition):
-    big = max(partition.i1, key=fd.degrees.__getitem__)
-    return dataclasses.replace(partition, i1=partition.i1 - {big}, i2=partition.i2 | {big})
+def _largest_cusp_made_small(fd, i1):
+    return i1 - {max(i1, key=fd.degrees.__getitem__)}
+
+
+def _dart_is_a(fd, n):
+    """Each dart's side, rebuilt from the face cycles: A exactly in the
+    first floor(d/2) walk positions of a large cusp of degree d."""
+    i1 = partition_cusps(fd, n)
+    dart_is_a = {}
+    for i, cycle in enumerate(fd.faces):
+        k = fd.degrees[i] // 2 if i in i1 else 0
+        for pos, dart in enumerate(cycle):
+            dart_is_a[dart] = pos < k
+    return dart_is_a
 
 
 def _one_degree_raised(fd):
@@ -98,7 +108,7 @@ class TestAssignLabels:
                 if not fd.connected:
                     continue
                 division = cheeger_upper_bound(g, fd, n, y_factor)
-                large = sorted(partition_cusps(fd, n).i1)
+                large = sorted(partition_cusps(fd, n))
                 assert [c.face_id for c in division.cuts] == large
                 assert division.cuts == tuple(
                     build_cusp_cut(i, fd.degrees[i], n, y_factor) for i in large
@@ -113,7 +123,7 @@ class TestAssignLabels:
             if not fd.connected:
                 continue
             division = cheeger_upper_bound(g, fd, 30)
-            small = division.partition.i2
+            small = set(range(fd.lht)) - division.i1
             assert not small & {c.face_id for c in division.cuts}
             for j in small:
                 message = f"cusp {j} has degree {fd.degrees[j]} <= threshold {degree_threshold(30)}"
@@ -124,34 +134,41 @@ class TestAssignLabels:
 
     def test_majority_rule_against_recount(self):
         # independently rebuild the dart labels and re-derive the boundary
+        # and, from the count of A triangles, both areas
         for seed in range(10):
             g, fd, division = pipeline(30, derive_seed(31, seed))
-            partition = partition_cusps(fd, 30)
-            dart_is_a = {}
-            for i in range(fd.lht):
-                cycle = fd.faces[i]
-                k = fd.degrees[i] // 2 if i in partition.i1 else 0
-                for pos, dart in enumerate(cycle):
-                    dart_is_a[dart] = pos < k
+            dart_is_a = _dart_is_a(fd, 30)
             expected_boundary = set()
+            num_a = 0
             for v in range(g.num_vertices):
                 trio = [3 * v, 3 * v + 1, 3 * v + 2]
                 votes = sum(dart_is_a[d] for d in trio)
                 majority_a = votes >= 2
-                assert division.triangle_labels[v] == ("A" if majority_a else "B")
+                num_a += majority_a
                 minority = [d for d in trio if dart_is_a[d] != majority_a]
                 assert len(minority) <= 1
                 expected_boundary.update(minority)
             assert division.boundary_segments == expected_boundary
+            small_mass = sum(d for i, d in enumerate(fd.degrees) if i not in division.i1)
+            assert division.area_a == pytest.approx(
+                math.fsum(c.side1_area for c in division.cuts) + (math.pi - 3) * num_a, abs=1e-9
+            )
+            assert division.area_b == pytest.approx(
+                math.fsum(c.side2_area for c in division.cuts)
+                + small_mass
+                + (math.pi - 3) * (g.num_vertices - num_a),
+                abs=1e-9,
+            )
 
     def test_unanimous_triangle_contributes_nothing(self):
         for seed in range(5):
             g, fd, division = pipeline(30, derive_seed(77, seed))
+            dart_is_a = _dart_is_a(fd, 30)
             boundary_triangles = {d // 3 for d in division.boundary_segments}
             for v in range(g.num_vertices):
                 if v not in boundary_triangles:
-                    # all three darts agree with the triangle label
-                    assert division.triangle_labels[v] in ("A", "B")
+                    # all three darts carry the same label
+                    assert len({dart_is_a[d] for d in (3 * v, 3 * v + 1, 3 * v + 2)}) == 1
             assert len(division.boundary_segments) <= 2 * g.n
 
     def test_minority_mask(self):
@@ -164,12 +181,13 @@ class TestAssignLabels:
         assert "minority" not in repr(division)
 
     def test_retained_memory_per_dart(self, retained_bytes):
-        # the 6n-byte mask and the 2n-character label string; a set of
-        # minority darts would add about 17 bytes a dart
+        # the 6n-byte mask plus the cut records and the set of large cusps;
+        # a label string would add 1/3 byte a dart, and a set of minority
+        # darts about 17
         g = sample(10_000, derive_seed(67, "memory"))
         fd = faces(g)
         kept, division = retained_bytes(cheeger_upper_bound, g, fd, g.n)
-        assert kept <= 4 * g.num_darts, kept / g.num_darts
+        assert kept <= 1.2 * g.num_darts, kept / g.num_darts
         assert division.minority.count(1) > 0
 
 
@@ -196,9 +214,9 @@ class TestCheegerUpperBound:
         assert division.boundary_length <= 2 * 150 + eta_total
 
     def test_balance_allowance(self):
-        # area_b - area_a = sum_cuts (side2 - side1) + mass_i2 + (pi - 3)(#B - #A),
-        # so the triangle inequality bounds the imbalance; at n = 3 an odd
-        # degree makes a cut's sides differ by more than 1
+        # area_b - area_a = sum_cuts (side2 - side1) + (degree mass outside i1)
+        # + (pi - 3)(#B - #A), so the triangle inequality bounds the imbalance;
+        # at n = 3 an odd degree makes a cut's sides differ by more than 1
         checked = 0
         for n, seeds in ((3, 100), (4, 100), (60, 10)):
             for seed in range(seeds):
@@ -213,7 +231,7 @@ class TestCheegerUpperBound:
                 allowance = (
                     2 * n * (math.pi - 3)
                     + math.fsum(abs(c.side2_area - c.side1_area) for c in division.cuts)
-                    + sum(fd.degrees[i] for i in division.partition.i2)
+                    + (fd.sum_degrees - sum(fd.degrees[i] for i in division.i1))
                 )
                 assert abs(division.area_a - division.area_b) <= allowance + 1e-9
                 checked += 1
@@ -223,7 +241,7 @@ class TestCheegerUpperBound:
         g = sample(3, 0)
         fd = faces(g)
         assert not fd.connected
-        with pytest.raises(DisconnectedSurface):
+        with pytest.raises(ValueError, match=r"^the sampled graph is disconnected$"):
             cheeger_upper_bound(g, fd, 3)
 
     def test_n_mismatch_rejected(self):
@@ -276,7 +294,7 @@ class TestDegreeMassBound:
             g, fd, division = pipeline(n, seed)
             assert invariant_failures(g, fd, division) == []
             c = fd.lht / math.log(n) + 1e-9
-            mass = sum(fd.degrees[i] for i in division.partition.i1)
+            mass = sum(fd.degrees[i] for i in division.i1)
             assert mass >= (6.0 - c / math.log(n)) * n
 
     def test_monte_carlo(self):
@@ -286,7 +304,7 @@ class TestDegreeMassBound:
             assert invariant_failures(g, fd, division) == []
             if fd.lht > c * math.log(n):
                 continue
-            mass = sum(fd.degrees[i] for i in division.partition.i1)
+            mass = sum(fd.degrees[i] for i in division.i1)
             assert mass >= (6.0 - c / math.log(n)) * n
 
 
@@ -367,15 +385,7 @@ class TestInvariantFailures:
                 "more than one boundary dart",
             ),
             (
-                lambda fd, d, n: {
-                    "partition": dataclasses.replace(
-                        d.partition, i2=d.partition.i2 - {min(d.partition.i2)}
-                    )
-                },
-                "partition does not cover the degrees",
-            ),
-            (
-                lambda fd, d, n: {"partition": _largest_cusp_moved_to_i2(fd, d.partition)},
+                lambda fd, d, n: {"i1": _largest_cusp_made_small(fd, d.i1)},
                 "large-cusp degree mass below its floor",
             ),
             (

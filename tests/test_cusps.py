@@ -87,22 +87,20 @@ class TestPartition:
             label=(),
             matching=(),
         )
-        part = partition_cusps(fd, 10**4)
-        assert part.i1 == {0}
-        assert part.i2 == {1}
+        i1 = partition_cusps(fd, 10**4)
+        assert isinstance(i1, frozenset)
+        assert i1 == {0}
 
     def test_single_face_always_large(self):
         for n in (3, 10, 50):
             fd = faces(sample(n, 0))
-            part = partition_cusps(fd, n)
-            assert part.i1 | part.i2 == set(range(fd.lht))
-            assert part.i1 & part.i2 == frozenset()
-            for i in part.i1:
-                assert fd.degrees[i] > part.threshold
-            for i in part.i2:
-                assert fd.degrees[i] <= part.threshold
+            i1 = partition_cusps(fd, n)
+            threshold = degree_threshold(n)
+            assert i1 <= set(range(fd.lht))
+            for i, d in enumerate(fd.degrees):
+                assert (i in i1) == (d > threshold)
             if fd.lht == 1:
-                assert part.i1 == {0}  # 6n always exceeds n/(log n)^2
+                assert i1 == {0}  # 6n always exceeds n/(log n)^2
 
     def test_raising_degree_never_demotes(self):
         from belyi.ribbon import FaceDecomposition
@@ -112,12 +110,11 @@ class TestPartition:
         low = int(threshold)
         for d in (low, low + 1, low + 10, 6 * n):
             fd = FaceDecomposition(((0,) * d,), (d,), 1, None, False, (), ())
-            part = partition_cusps(fd, n)
             if d > threshold:
-                assert part.i1 == {0}
+                assert partition_cusps(fd, n) == {0}
         # strictly above is required
         fd = FaceDecomposition(((0,) * low,), (low,), 1, None, False, (), ())
-        assert 0 in partition_cusps(fd, n).i2
+        assert 0 not in partition_cusps(fd, n)
 
     def test_n_too_small(self):
         fd = faces(sample(2, 1))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 from belyi import experiments
-from belyi.cheeger import DisconnectedSurface, EmptyI1
+from belyi.cheeger import EmptyI1
 from belyi.experiments import (
     CSV_COLUMNS,
     TrialRecord,
@@ -90,17 +91,26 @@ class TestRunTrial:
         monkeypatch.setattr(experiments, "invariant_failures", failing)
         with pytest.raises(BrokenInvariant, match=r"^n=10, seed=12345: degree sum 59 != 6n$"):
             run_trial(10, 12345, 0)
-        assert checked[0].n == 10  # the trial's division was checked
+        assert len(checked[0].minority) == 60  # the trial's division was checked
 
     @pytest.mark.parametrize(
         "error, status, num_i1, num_i1_cell",
-        [(EmptyI1, "empty_i1", 0, "0"), (DisconnectedSurface, "disconnected", None, "")],
+        [(EmptyI1, "empty_i1", 0, "0"), (None, "disconnected", None, "")],
     )
     def test_stopped_trial_record(self, monkeypatch, error, status, num_i1, num_i1_cell):
+        # an empty I1 is raised by the bound; a disconnected surface is read
+        # from its faces (error None), and the bound is never called
         def stopped(g, fd, n, y_factor):
-            raise error("patched")
+            raise error("patched") if error else AssertionError("bound called")
 
         monkeypatch.setattr(experiments, "cheeger_upper_bound", stopped)
+        if error is None:
+            traced = experiments.faces
+            monkeypatch.setattr(
+                experiments,
+                "faces",
+                lambda g: dataclasses.replace(traced(g), connected=False, genus=None),
+            )
         rec = run_trial(10, 12345, 0, s2_l=4)
         assert rec.status == status
         assert rec.num_i1 == num_i1

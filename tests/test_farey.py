@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from belyi.cheeger import in_f_star
-from belyi.cusps import CuspPartition, develop_strip, exact_l, has_large_cusps, partition_cusps
+from belyi.cusps import develop_strip, exact_l, has_large_cusps, partition_cusps
 from belyi.farey import (
     FareyTriangle,
     classify_segments,
@@ -174,13 +174,13 @@ class TestLengthCheck:
         g = from_matching(1, THETA_TORUS)
         fd = faces(g)
         top = FareyTriangle(F(0), F(1, 2), F(1))
-        partition = CuspPartition(i1=frozenset({0}), i2=frozenset(), threshold=1.0)
+        i1 = frozenset({0})
         calls = [
             lambda l: has_large_cusps(fd, l),
             lambda l: intersects_strip(top, l),
             lambda l: count_intersecting(l),
             lambda l: develop_horoball(fd, 0, l),
-            lambda l: classify_segments(g, fd, partition, l),
+            lambda l: classify_segments(g, fd, i1, l),
             n_bound,
             m_bound,
             lambda l: in_f_star(fd, l, 10, 100),
@@ -389,23 +389,23 @@ class TestLargeCuspsAgainstDevelopment:
         assert deep_only > 0
 
 
-def s2_by_definition(g, fd, partition, l):
+def s2_by_definition(g, fd, i1, l):
     """The darts of large cusps whose triangle lies in a small cusp's footprint."""
     hot = set()
     for j, degree in enumerate(fd.degrees):
         if degree <= l:
             hot |= set(develop_horoball(fd, j, l))
-    return {d for i in partition.i1 for d in fd.faces[i] if d // 3 in hot}
+    return {d for i in i1 for d in fd.faces[i] if d // 3 in hot}
 
 
 class TestClassifySegments:
     def test_all_s1_when_no_small_cusps(self):
         g = from_matching(1, THETA_TORUS)
         fd = faces(g)
-        partition = CuspPartition(i1=frozenset({0}), i2=frozenset(), threshold=1.0)
-        assert classify_segments(g, fd, partition, 1) == frozenset()
+        i1 = frozenset({0})
+        assert classify_segments(g, fd, i1, 1) == frozenset()
         # at l = 6 the only cusp is small, and its footprint covers both triangles
-        assert classify_segments(g, fd, partition, 6) == frozenset(range(6))
+        assert classify_segments(g, fd, i1, 6) == frozenset(range(6))
 
     def test_partition_of_large_cusp_darts(self):
         nonempty = 0
@@ -413,11 +413,11 @@ class TestClassifySegments:
             for s in range(10):
                 g = sample(n, derive_seed(12, n, s))
                 fd = faces(g)
-                partition = partition_cusps(fd, n)
+                i1 = partition_cusps(fd, n)
                 for l in (2, 4, 5):
-                    s2 = classify_segments(g, fd, partition, l)
+                    s2 = classify_segments(g, fd, i1, l)
                     assert isinstance(s2, frozenset)
-                    assert s2 == s2_by_definition(g, fd, partition, l)
+                    assert s2 == s2_by_definition(g, fd, i1, l)
                     nonempty += bool(s2)
         assert nonempty > 0
 
@@ -425,8 +425,8 @@ class TestClassifySegments:
         for s in range(20):
             g = sample(100, derive_seed(13, s))
             fd = faces(g)
-            partition = partition_cusps(fd, 100)
-            if not partition.i1:
+            i1 = partition_cusps(fd, 100)
+            if not i1:
                 continue
-            s2 = classify_segments(g, fd, partition, 4)
+            s2 = classify_segments(g, fd, i1, 4)
             assert len(s2) <= m_bound(4) * fd.lht

@@ -138,8 +138,9 @@ class TestFromMatching:
             from_matching(10**15, [])
 
     def test_wrong_dart_count_unsized(self):
-        with pytest.raises(ValueError, match=r"^dart 2 is not covered by any pair$"):
-            from_matching(1, iter([(0, 3), (1, 4)]))
+        # the pair count is checked on every input, so an iterator is refused
+        with pytest.raises(TypeError):
+            from_matching(1, iter([(0, 3), (1, 4), (2, 5)]))
 
     def test_wrong_dart_count_out_of_range(self):
         with pytest.raises(ValueError, match=r"^dart 6 is outside \[0, 6n\)$"):
