@@ -108,23 +108,21 @@ class Division:
         return frozenset(compress(range(len(self.minority)), self.minority))
 
 
-def build_cusp_cut(face_id: int, d: int, n: int, y_factor: float = 1.0) -> CuspCut:
+def build_cusp_cut(face_id: int, d: int, n: int) -> CuspCut:
     """Cut curve for the large cusp ``face_id`` of degree ``d``, split at
     k = floor(d/2) segments.
 
-    The cut height is y = y_factor * n * d, giving a curve of length
-    2*log(y) + k/y <= 2*log(n*d*y_factor) + 1: two verticals of length
-    log(y) and a width-k horocyclic arc at height y.  Side 1, the k-wide
-    box between heights 1 and y, has area k * (1 - 1/y).
+    The cut height is y = n * d, giving a curve of length
+    2*log(y) + k/y <= 2*log(n*d) + 1: two verticals of length log(y)
+    and a width-k horocyclic arc at height y.  Side 1, the k-wide box
+    between heights 1 and y, has area k * (1 - 1/y).  The curve stays
+    above the canonical loop: ``degree_threshold`` needs n >= 3, and
+    n / (log n)^2 > 1.84 there, so a large cusp has d >= 2 and y >= 6.
     """
     threshold = degree_threshold(n)
-    if not 0 < y_factor < math.inf:
-        raise ValueError(f"y_factor must be positive and finite, got {y_factor}")
     if d <= threshold:
         raise ValueError(f"cusp {face_id} has degree {d} <= threshold {threshold}")
-    y = y_factor * n * d
-    if y <= 1.0:
-        raise ValueError(f"cut height y={y} must exceed the canonical loop height 1")
+    y = float(n * d)
     k = d // 2
     eta_length = 2.0 * math.log(y) + k / y
     side1 = k * (1.0 - 1.0 / y)
@@ -132,12 +130,7 @@ def build_cusp_cut(face_id: int, d: int, n: int, y_factor: float = 1.0) -> CuspC
     return CuspCut(face_id, k, y, eta_length, side1, side2)
 
 
-def cheeger_upper_bound(
-    g: RibbonGraph,
-    fd: FaceDecomposition,
-    n: int,
-    y_factor: float = 1.0,
-) -> Division:
+def cheeger_upper_bound(g: RibbonGraph, fd: FaceDecomposition, n: int) -> Division:
     """Find the large cusps, cut them, label every triangle and measure
     the division.
 
@@ -150,7 +143,7 @@ def cheeger_upper_bound(
     upper bound for the Cheeger constant of the surface.
 
     Both areas are positive: n / (log n)^2 > 1.84 for every n >= 3, so a
-    large cusp has degree d >= 2, its cut has k >= 1 and y > 1, side 1
+    large cusp has degree d >= 2, its cut has k >= 1 and y >= 6, side 1
     has area k(1 - 1/y) > 0 and side 2 at least d - k >= 1.
     """
     if n != g.n:
@@ -160,7 +153,7 @@ def cheeger_upper_bound(
     i1 = partition_cusps(fd, n)
     if not i1:
         raise EmptyI1("no cusp exceeds the degree threshold")
-    cuts = tuple(build_cusp_cut(i, fd.degrees[i], n, y_factor) for i in sorted(i1))
+    cuts = tuple(build_cusp_cut(i, fd.degrees[i], n) for i in sorted(i1))
 
     side_a = bytearray(g.num_darts)  # 1 where the dart borders a side-1 arc
     for cut in cuts:

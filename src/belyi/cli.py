@@ -8,10 +8,10 @@ The ``identities`` and ``division`` suites of ``verify`` run
 row, on surfaces from their own seed streams; ``farey`` checks the Farey
 counts and bounds.
 Exit codes: 0 ok, 1 invariant failure (a counterexample, so a bug),
-2 usage or validation error (including a length or height that is not
-a positive finite number, or a worker or seed count below 1, rejected
-while parsing), 3 no large cusp to cut.  ``main`` alone maps errors to
-these codes.
+2 usage or validation error (including a length or threshold that is
+not a positive finite number, or a worker or seed count below 1,
+rejected while parsing), 3 no large cusp to cut.  ``main`` alone maps
+errors to these codes.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _positive_finite(text: str) -> float:
-    """argparse type for lengths, height factors and thresholds: 0 < x < inf, so no nan."""
+    """argparse type for lengths and thresholds: 0 < x < inf, so no nan."""
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
@@ -130,7 +130,7 @@ def _cmd_cheeger(args) -> int:
         g = ribbon.sample(args.n, args.seed)
         seed = args.seed
     fd = ribbon.faces(g)
-    division = cheeger_mod.cheeger_upper_bound(g, fd, g.n, args.y_factor)
+    division = cheeger_mod.cheeger_upper_bound(g, fd, g.n)
     failures = cheeger_mod.invariant_failures(g, fd, division)
     if failures:
         raise ribbon.BrokenInvariant(failures[0])
@@ -147,7 +147,7 @@ def _cmd_cheeger(args) -> int:
                 "area_a": division.area_a,
                 "area_b": division.area_b,
                 "h_upper": division.h_upper,
-                "y_factor": args.y_factor,
+                "y_factor": 1.0,  # a fixed key: every cut sits at y = n * d
             }
         )
     )
@@ -191,7 +191,6 @@ def _cmd_grid(args) -> int:
         n_values,
         args.trials,
         args.seed,
-        y_factor=args.y_factor,
         out_path=out_dir / "trials.csv",
         s2_l=args.s2_l,
         workers=args.workers,
@@ -215,7 +214,7 @@ def _suite_sampled(label: str, args) -> list[str]:
     for k in range(args.seeds):
         seed = ribbon.derive_seed(args.seed, label, k)
         try:
-            experiments.run_trial(args.n, seed, k, args.y_factor)
+            experiments.run_trial(args.n, seed, k)
         except ribbon.BrokenInvariant as exc:
             return [str(exc)]
     return []
@@ -276,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="size parameter (with --seed)")
     p.add_argument("--seed", type=int, help="sampling seed (with --n)")
     p.add_argument("--graph", help="graph JSON file, or - for stdin")
-    p.add_argument("--y-factor", type=_positive_finite, default=1.0, help="cut height multiplier")
     p.set_defaults(func=_cmd_cheeger)
 
     p = sub.add_parser("farey", help="subdivision counts and bounds as JSON")
@@ -296,14 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_positive_int, default=100, help="number of sampled surfaces")
     p.add_argument("--n", type=int, default=100, help="size parameter for samples")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--y-factor", type=_positive_finite, default=1.0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("grid", help="Monte Carlo grid, CSV + JSON summary")
     p.add_argument("--n-list", required=True, help="comma-separated n values")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--y-factor", type=_positive_finite, default=1.0)
     p.add_argument("--s2-l", type=_positive_finite, default=None, help="also record |s2| at this l")
     p.add_argument(
         "--threshold", type=_positive_finite, default=experiments.DEFAULT_H_THRESHOLD

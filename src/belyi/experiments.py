@@ -106,7 +106,6 @@ def run_trial(
     n: int,
     seed: int,
     trial_index: int,
-    y_factor: float = 1.0,
     s2_l: float | None = None,
 ) -> TrialRecord:
     """Sample, trace faces, run the cut pipeline, and flatten the result;
@@ -121,7 +120,7 @@ def run_trial(
     s2_size = None
     if fd.connected:
         try:
-            division = cheeger_upper_bound(g, fd, n, y_factor)
+            division = cheeger_upper_bound(g, fd, n)
             if s2_l is not None:
                 s2_size = len(classify_segments(g, fd, division.i1, s2_l))
         except EmptyI1:
@@ -204,7 +203,6 @@ def run_grid(
     n_values: Sequence[int],
     trials: int,
     base_seed: int,
-    y_factor: float = 1.0,
     out_path: str | Path | None = None,
     s2_l: float | None = None,
     workers: int | None = None,
@@ -226,7 +224,7 @@ def run_grid(
         if n in n_values[:i]:
             raise ValueError(f"grid n values must be distinct, got {n} twice")
     jobs = [
-        (n, derive_seed(base_seed, n, t), t, y_factor, s2_l)
+        (n, derive_seed(base_seed, n, t), t, s2_l)
         for n in n_values
         for t in range(trials)
     ]

@@ -83,24 +83,31 @@ def enumerate_level(m: int) -> list[FareyTriangle]:
     ]
 
 
+def _capped_l(l) -> Fraction:
+    """``l`` as an exact positive Fraction whose strip {y > 1/l} reaches
+    no level deeper than ``LEVEL_CAP``.
+
+    Row m-1 has gaps of at most 1/m, so only levels with 2m < l reach
+    the strip.  The cap bounds the time of ``count_intersecting``, which
+    grows like l log l, and the size of ``n_bound``'s 2^(l/2) integer.
+    """
+    lq = exact_l(l)
+    deepest = math.ceil(lq / 2) - 1  # levels with 2m >= l cannot reach the strip
+    if deepest > LEVEL_CAP:
+        raise ValueError(f"needed level {deepest} exceeds cap {LEVEL_CAP}")
+    return lq
+
+
 def count_intersecting(l) -> int:
     """Number of subdivision triangles meeting the open strip {y > 1/l}.
 
     The triangle under a gap a/b < c/d has width 1/(bd), so it meets the
     strip iff l > 2bd.  The gaps below it have denominator pairs
     (b, b+d) and (b+d, d), with larger products, so a descent from the
-    level-1 pair (1, 1) stops at the first gap that misses.  Row m-1 has
-    gaps of at most 1/m, so only levels with 2m < l contribute; that
-    depth must stay within ``LEVEL_CAP``.
-
-    The descent builds no level row, but the cap still bounds its time,
-    which grows like l log l, and it rejects a huge ``l`` from the
-    command line before ``n_bound`` builds a 2^(l/2)-sized integer.
+    level-1 pair (1, 1) stops at the first gap that misses.  The depth
+    of ``l`` must stay within ``LEVEL_CAP``.
     """
-    lq = exact_l(l)
-    deepest = math.ceil(lq / 2) - 1  # levels with 2m >= l cannot reach the strip
-    if deepest > LEVEL_CAP:
-        raise ValueError(f"needed level {deepest} exceeds cap {LEVEL_CAP}")
+    lq = _capped_l(l)
     count = 0
     stack = [(1, 1)]
     while stack:
@@ -112,8 +119,9 @@ def count_intersecting(l) -> int:
 
 
 def n_bound(l) -> int:
-    """Closed-form bound 2^(floor(l/2)+1) - 1 on ``count_intersecting``."""
-    return 2 ** (math.floor(exact_l(l) / 2) + 1) - 1
+    """Closed-form bound 2^(floor(l/2)+1) - 1 on ``count_intersecting``,
+    for an ``l`` within ``LEVEL_CAP``."""
+    return 2 ** (math.floor(_capped_l(l) / 2) + 1) - 1
 
 
 def m_bound(l) -> int:

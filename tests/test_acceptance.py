@@ -29,16 +29,8 @@ from belyi.experiments import (
     lht_growth_fit,
     run_grid,
 )
-from belyi.farey import (
-    count_intersecting,
-    enumerate_level,
-    m_bound,
-    n_bound,
-    vertex_row,
-)
+from belyi.farey import count_intersecting, m_bound
 from belyi.ribbon import derive_seed, faces, from_matching, sample
-
-from fractions import Fraction
 
 BASE_SEED = 20240809
 
@@ -246,26 +238,26 @@ def test_criterion_4_predicted_values():
     )
 
 
-def test_criterion_5_farey_suite():
-    for m in range(1, 13):
-        assert len(enumerate_level(m)) == 2 ** (m - 1)
-        row = vertex_row(m)
-        gap = max(b - a for a, b in zip(row, row[1:]))
-        assert gap <= Fraction(1, m + 1), f"gap bound fails at level {m}"
-    for l in range(1, 31):
-        assert count_intersecting(l) <= n_bound(l), f"count exceeds bound at l={l}"
-    assert n_bound(4) == 7
-    assert m_bound(4) == 84
+def test_criterion_5_farey_suite(capsys):
+    code = cli_main(["verify", "--suite", "farey"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == "suite farey: ok\n"
     assert report(
         5,
         True,
-        "level sizes 2^(m-1) and gap bound 1/(m+1) for m <= 12; "
-        "count <= bound for l = 1..30; bounds at l=4 are 7 and 84",
+        "belyi verify --suite farey: level sizes 2^(m-1) and gap bound 1/(m+1) "
+        "for m <= 12; count <= bound for l = 1..30; bounds at l=4 are 7 and 84",
     )
 
 
-def test_criterion_6_s2_bound():
-    records = run_grid([1000], 100, derive_seed(BASE_SEED, "s2"), s2_l=4)
+@pytest.fixture(scope="module")
+def s2_records():
+    return run_grid([1000], 100, derive_seed(BASE_SEED, "s2"), s2_l=4)
+
+
+def test_criterion_6_s2_bound(s2_records):
+    records = s2_records
     usable = [r for r in records if r.s2_size is not None]
     assert usable, "no usable trials"
     violations = [r for r in usable if r.s2_size > m_bound(4) * r.lht]
@@ -274,6 +266,32 @@ def test_criterion_6_s2_bound():
         6,
         ok,
         f"|s2| <= 84 * lht held in {len(usable) - len(violations)}/{len(usable)} trials at n=1000, l=4",
+    )
+
+
+def test_criterion_6_predicted_s2_mean(s2_records):
+    # A cusp of degree k <= l develops k * (1 + c(l/k)) triangles, with
+    # c = count_intersecting: its k top-row triangles each hold 2 darts
+    # of other cusps, and the deeper ones 3.  As n grows those darts lie
+    # in large cusps and the developments stop overlapping, while the
+    # number X_k of degree-k faces tends to Poisson(1/k), independently
+    # in k.  So |s2| tends to sum_{k <= l} X_k * k * (2 + 3 c(l/k)), with
+    # mean sum_k (2 + 3 c(l/k)) and variance sum_k k * (2 + 3 c(l/k))^2,
+    # 11 and 61 at l = 4.  The tolerance of 5 standard errors was fixed
+    # before the test was run.
+    l = 4
+    darts = {k: 2 + 3 * count_intersecting(l / k) for k in range(1, l + 1)}
+    mean = sum(darts.values())
+    var = sum(k * v**2 for k, v in darts.items())
+    sizes = [r.s2_size for r in s2_records if r.s2_size is not None]
+    measured = statistics.fmean(sizes)
+    z = (measured - mean) / math.sqrt(var / len(sizes))
+    ok = abs(z) <= 5
+    assert report(
+        6,
+        ok,
+        f"mean |s2| {measured:.2f} on {len(sizes)} trials at n=1000, l=4 "
+        f"is within 5 standard errors sqrt({var}/{len(sizes)}) of {mean} (z = {z:+.2f})",
     )
 
 

@@ -44,10 +44,10 @@ def _second_minority_dart(minority):
     return bytes(mask)
 
 
-def pipeline(n, seed, y_factor=1.0):
+def pipeline(n, seed):
     g = sample(n, seed)
     fd = faces(g)
-    return g, fd, cheeger_upper_bound(g, fd, n, y_factor)
+    return g, fd, cheeger_upper_bound(g, fd, n)
 
 
 class TestBuildCuspCut:
@@ -68,20 +68,9 @@ class TestBuildCuspCut:
             assert abs(cut.side1_area - cut.side2_area) <= 1 + d / cut.y
 
     def test_eta_length_cap(self):
-        for d, n, yf in [(100, 1000, 1.0), (321, 47, 2.5)]:
-            cut = build_cusp_cut(0, d, n, yf)
-            assert cut.eta_length <= 2 * math.log(n * d * yf) + 1
-
-    def test_eta_eventually_increasing_in_y_factor(self):
-        lengths = [build_cusp_cut(0, 50, 100, yf).eta_length for yf in (1, 2, 4, 8, 16)]
-        assert all(a < b for a, b in zip(lengths, lengths[1:]))
-
-    def test_arc_term_decreasing_in_y_factor(self):
-        arcs = [
-            build_cusp_cut(0, 50, 100, yf).k / build_cusp_cut(0, 50, 100, yf).y
-            for yf in (1, 2, 4)
-        ]
-        assert arcs[0] > arcs[1] > arcs[2]
+        for d, n in [(100, 1000), (321, 47)]:
+            cut = build_cusp_cut(0, d, n)
+            assert cut.eta_length <= 2 * math.log(n * d) + 1
 
     def test_small_cusp_rejected(self):
         message = f"cusp 0 has degree 2 <= threshold {degree_threshold(1000)}"
@@ -91,28 +80,22 @@ class TestBuildCuspCut:
     def test_bad_parameters(self):
         with pytest.raises(ValueError, match=r"^n must be >= 3 so that log n > 1, got 2$"):
             build_cusp_cut(0, 100, 2)
-        for y_factor in (0.0, -1.0, math.inf, math.nan):
-            message = f"y_factor must be positive and finite, got {y_factor}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                build_cusp_cut(0, 100, 1000, y_factor)
 
 
 class TestAssignLabels:
     def test_missing_cut(self):
         # every large cusp gets exactly one cut, in sorted order, and each is
         # the cut build_cusp_cut gives for that cusp alone
-        for n, y_factor in ((10, 1.0), (30, 2.5), (200, 1.0)):
+        for n in (10, 30, 200):
             for seed in range(5):
                 g = sample(n, derive_seed(53, n, seed))
                 fd = faces(g)
                 if not fd.connected:
                     continue
-                division = cheeger_upper_bound(g, fd, n, y_factor)
+                division = cheeger_upper_bound(g, fd, n)
                 large = sorted(partition_cusps(fd, n))
                 assert [c.face_id for c in division.cuts] == large
-                assert division.cuts == tuple(
-                    build_cusp_cut(i, fd.degrees[i], n, y_factor) for i in large
-                )
+                assert division.cuts == tuple(build_cusp_cut(i, fd.degrees[i], n) for i in large)
 
     def test_extra_cut_rejected(self):
         # no small cusp is cut, and a cut asked for one is refused

@@ -87,10 +87,6 @@ class TestCheeger:
         assert code == 0
         assert json.loads(out)["n"] == 5
 
-    def test_zero_y_factor_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "cheeger", "--n", "10", "--seed", "1", "--y-factor", "0")
-        assert code == 2
-
     def test_no_large_cusp_exits_3(self, capsys, tmp_path):
         # honeycomb torus: all 196 faces are hexagons, and at n=196 the
         # degree threshold exceeds 6, so there is nothing to cut
@@ -528,9 +524,6 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("cheeger", "--n", "1000", "--seed", "1", "--y-factor"),
-            ("verify", "--seeds", "1", "--y-factor"),
-            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--y-factor"),
             ("farey", "--l"),
             ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--threshold"),
         ],
@@ -542,6 +535,28 @@ class TestNonFiniteNumbers:
         assert code == 2
         assert out == ""
         assert argv[-1] in err
+        assert not out_dir.exists()
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cheeger", "--n", "1000", "--seed", "1"),
+            ("verify", "--seeds", "1"),
+            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}"),
+        ],
+        ids=["cheeger", "verify", "grid"],
+    )
+    def test_y_factor_rejected(self, capsys, tmp_path, argv):
+        # every cut sits at y = n * d, and no option moves it: --y-factor
+        # is an unknown argument at any value
+        out_dir = tmp_path / "d"
+        argv = [a.format(out=out_dir) for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--y-factor", "2")
+        assert code == 2
+        assert out == ""
+        assert "--y-factor" in err
         assert not out_dir.exists()
 
 

@@ -100,7 +100,7 @@ class TestRunTrial:
     def test_stopped_trial_record(self, monkeypatch, error, status, num_i1, num_i1_cell):
         # an empty I1 is raised by the bound; a disconnected surface is read
         # from its faces (error None), and the bound is never called
-        def stopped(g, fd, n, y_factor):
+        def stopped(g, fd, n):
             raise error("patched") if error else AssertionError("bound called")
 
         monkeypatch.setattr(experiments, "cheeger_upper_bound", stopped)
@@ -168,10 +168,10 @@ class TestRunGrid:
             pytest.skip("only forked workers see a patched module")
         real = experiments.cheeger_upper_bound
 
-        def patched(g, fd, n, y_factor):
+        def patched(g, fd, n):
             if fd.connected and g.matching[0] % 3 == 0:
                 raise EmptyI1("patched")
-            return real(g, fd, n, y_factor)
+            return real(g, fd, n)
 
         monkeypatch.setattr(experiments, "cheeger_upper_bound", patched)
         grid = ([3, 4, 5, 6], 6, 0)

@@ -160,6 +160,15 @@ class TestCounts:
         with pytest.raises(ValueError, match=r"^needed level 49 exceeds cap 30$"):
             count_intersecting(100)
 
+    def test_bounds_check_the_level_cap_first(self):
+        # the same check as count_intersecting, before 2^(floor(l/2)+1) is built
+        for fn in (count_intersecting, n_bound, m_bound):
+            with pytest.raises(ValueError, match=r"^needed level 499999999999 exceeds cap 30$"):
+                fn(1e12)
+            with pytest.raises(ValueError, match=r"^needed level 31 exceeds cap 30$"):
+                fn(63)
+        assert n_bound(62) == 2**32 - 1
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             count_intersecting(0)
