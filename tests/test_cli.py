@@ -524,6 +524,9 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("verify", "--seeds"),
+            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--s2-l"),
+            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--workers"),
             ("farey", "--l"),
             ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--threshold"),
         ],
