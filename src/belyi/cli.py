@@ -10,7 +10,8 @@ counts and bounds.
 Exit codes: 0 ok, 1 invariant failure (a counterexample, so a bug),
 2 usage or validation error (including a length or threshold that is
 not a positive finite number, or a worker or seed count below 1,
-rejected while parsing), 3 no large cusp to cut.  ``main`` alone maps
+rejected while parsing, and a length above 62, past the Farey level
+cap), 3 no large cusp to cut.  ``main`` alone maps
 errors to these codes.
 """
 
@@ -98,11 +99,8 @@ def _load_graph(source: str) -> ribbon.RibbonGraph:
 
 
 def _cmd_sample(args) -> int:
-    if args.connected:
-        g, fd = ribbon.sample_connected(args.n, args.seed)
-    else:
-        g = ribbon.sample(args.n, args.seed)
-        fd = ribbon.faces(g)
+    g = ribbon.sample(args.n, args.seed)
+    fd = ribbon.faces(g)
     with _gc_paused():
         text = _dump_json(g.to_json_dict())
     if args.out:
@@ -267,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a graph and print its JSON")
     p.add_argument("--n", type=int, required=True, help="size parameter (2n vertices)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--connected", action="store_true", help="reject disconnected samples")
     p.add_argument("--out", help="write the graph JSON to this file instead of stdout")
     p.set_defaults(func=_cmd_sample)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cheeger import EmptyI1, cheeger_upper_bound, invariant_failures
-from .farey import classify_segments
+from .farey import _capped_l, classify_segments
 from .ribbon import BrokenInvariant, derive_seed, faces, sample
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "run_grid",
     "write_csv",
     "lht_growth_fit",
-    "h_fraction_below",
     "summarize",
 ]
 
@@ -223,6 +222,8 @@ def run_grid(
             raise ValueError(f"grid n values must be >= 3, got {n}")
         if n in n_values[:i]:
             raise ValueError(f"grid n values must be distinct, got {n} twice")
+    if s2_l is not None:
+        _capped_l(s2_l)  # the footprints' level cap, checked before any trial runs
     jobs = [
         (n, derive_seed(base_seed, n, t), t, s2_l)
         for n in n_values
@@ -271,26 +272,19 @@ def lht_growth_fit(records: Sequence[TrialRecord]) -> tuple[float, float]:
     return intercept, slope
 
 
-def h_fraction_below(records: Sequence[TrialRecord], threshold: float) -> float:
-    """Fraction of usable rows (single n) with h_upper below the threshold."""
-    ns = {rec.n for rec in records}
-    if len(ns) != 1:
-        raise ValueError(f"records must share a single n, got {sorted(ns)}")
-    usable = [rec for rec in records if rec.h_upper is not None]
-    if not usable:
-        raise ValueError("no rows with a computed h_upper")
-    return sum(1 for rec in usable if rec.h_upper < threshold) / len(usable)
-
-
 def summarize(
     records: Sequence[TrialRecord], n: int, h_threshold: float = DEFAULT_H_THRESHOLD
 ) -> SummaryStats:
+    """Aggregate of the rows at ``n``; ``fraction_h_below`` is taken over
+    the usable rows, those with an ``h_upper``, and is None without one."""
     rows = [rec for rec in records if rec.n == n]
     if not rows:
         raise ValueError(f"no records at n={n}")
     usable = [rec for rec in rows if rec.h_upper is not None]
     lhts = [rec.lht for rec in rows]
-    fraction = h_fraction_below(usable, h_threshold) if usable else None
+    fraction = (
+        sum(rec.h_upper < h_threshold for rec in usable) / len(usable) if usable else None
+    )
     return SummaryStats(
         n=n,
         trials=len(rows),

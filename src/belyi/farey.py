@@ -88,8 +88,9 @@ def _capped_l(l) -> Fraction:
     no level deeper than ``LEVEL_CAP``.
 
     Row m-1 has gaps of at most 1/m, so only levels with 2m < l reach
-    the strip.  The cap bounds the time of ``count_intersecting``, which
-    grows like l log l, and the size of ``n_bound``'s 2^(l/2) integer.
+    the strip.  The cap bounds the time of ``count_intersecting`` and of
+    the horoball descents, which grow like l log l, and the size of
+    ``n_bound``'s 2^(l/2) integer.
     """
     lq = exact_l(l)
     deepest = math.ceil(lq / 2) - 1  # levels with 2m >= l cannot reach the strip
@@ -138,9 +139,11 @@ def develop_horoball(fd: FaceDecomposition, j: int, l) -> list[int]:
     each entry dart whose apex height 1/(2 p_den r_den) exceeds d_j/l.
     Heights fall with depth and p_den r_den >= depth, so every developed
     triangle has 2 d_j depth < l.  For d_j > l the horoball stays above
-    the canonical loop and the development is empty.
+    the canonical loop and the development is empty.  As for
+    ``count_intersecting``, the depth of ``l`` must stay within
+    ``LEVEL_CAP``, so any l above 62 raises ``ValueError``.
     """
-    lq = exact_l(l)
+    lq = _capped_l(l)
     d_j = fd.degrees[j]
     if d_j > lq:
         return []
@@ -165,13 +168,14 @@ def classify_segments(
     m_bound(l) darts, so |s2| <= m_bound(l) * lht.  Exactly, cusp j's
     development holds d_j * (1 + count_intersecting(l / d_j)) triangles:
     its top row, and below each of its d_j columns the Farey triangles
-    that reach into {y > d_j/l}.
+    that reach into {y > d_j/l}.  Any l above 62 raises ``ValueError``
+    before a cusp is developed, since its depth exceeds ``LEVEL_CAP``.
     """
-    lq = exact_l(l)
+    lq = _capped_l(l)
     hot: set[int] = set()
     for j, d in enumerate(fd.degrees):
         if d <= lq:
-            hot.update(develop_horoball(fd, j, l))
+            hot.update(develop_horoball(fd, j, lq))
     return frozenset(
         d for t in hot for d in (3 * t, 3 * t + 1, 3 * t + 2) if fd.label[d] - 1 in i1
     )

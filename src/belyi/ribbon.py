@@ -31,13 +31,8 @@ __all__ = [
     "derive_seed",
     "from_matching",
     "sample",
-    "sample_connected",
     "faces",
 ]
-
-
-# redraws ``sample_connected`` makes before it gives up
-MAX_REJECTIONS = 10_000
 
 
 class BrokenInvariant(RuntimeError):
@@ -72,7 +67,7 @@ class RibbonGraph:
     The constructor trusts its arguments: ``n >= 1`` and ``matching`` a
     fixed-point-free involution on ``[0, 6n)``.  Outside input enters
     through ``from_matching`` or ``from_json_dict``, which validate it;
-    ``sample`` and ``sample_connected`` build valid graphs by construction.
+    ``sample`` builds valid graphs by construction.
     """
 
     n: int
@@ -215,23 +210,6 @@ def sample(n: int, seed: int) -> RibbonGraph:
     return RibbonGraph(n, tuple(alpha))
 
 
-def sample_connected(n: int, seed: int) -> tuple[RibbonGraph, FaceDecomposition]:
-    """First connected graph along a deterministic seed sequence, with
-    the faces traced to test its connectivity.
-
-    Attempt 0 reuses ``seed`` itself (so the result agrees with
-    ``sample`` whenever that draw is already connected); attempt k > 0
-    uses ``derive_seed(seed, k)``, up to k = ``MAX_REJECTIONS``.
-    """
-    for attempt in range(MAX_REJECTIONS + 1):
-        s = seed if attempt == 0 else derive_seed(seed, attempt)
-        g = sample(n, s)
-        fd = faces(g)
-        if fd.connected:
-            return g, fd
-    raise RuntimeError(f"no connected sample for n={n} after {MAX_REJECTIONS} rejections")
-
-
 def _face_components(label: list[int], lht: int) -> int:
     """Number of classes of the faces ``1 .. lht`` once the faces at each
     vertex, the labels of darts ``3v, 3v + 1, 3v + 2``, are united."""
@@ -257,7 +235,10 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
 
     Orbits of the face permutation partition the darts; the face count,
     degrees, connectivity and (when connected) the genus follow from
-    the orbit structure via the Euler characteristic.
+    the orbit structure via the Euler characteristic.  Each step labels
+    one untraced dart and the trace stops once all 6n are labelled, so
+    the degrees sum to 6n even for a tuple in [0, 6n) that is not an
+    involution; only the parity and genus checks below can refuse one.
 
     Rotation and matching generate the same group as rotation and the
     face permutation, so the graph is connected exactly when its faces
@@ -291,8 +272,6 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
         orbits.append(tuple(cycle))
     degrees = tuple(len(c) for c in orbits)
     lht = len(orbits)
-    if sum(degrees) != total:
-        raise BrokenInvariant(f"face degrees sum to {sum(degrees)}, expected {total}")
     connected = _face_components(label, lht) == 1
     genus: int | None = None
     if connected:

@@ -25,9 +25,9 @@ from belyi.cli import main as cli_main
 from belyi.cusps import surface_area
 from belyi.experiments import (
     _map_jobs,
-    h_fraction_below,
     lht_growth_fit,
     run_grid,
+    summarize,
 )
 from belyi.farey import count_intersecting, m_bound
 from belyi.ribbon import derive_seed, faces, from_matching, sample
@@ -152,10 +152,13 @@ def test_criterion_4_cheeger_bound_statistics(cheeger_records):
     records = cheeger_records
     small = [r for r in records if r.n == 1000]
     large = [r for r in records if r.n == 100000]
-    fraction = h_fraction_below(large, threshold)
+    fraction = summarize(records, 100000, threshold).fraction_h_below
     median_small = statistics.median(r.h_upper for r in small if r.h_upper is not None)
     median_large = statistics.median(r.h_upper for r in large if r.h_upper is not None)
-    trend_ok = h_fraction_below(small, 0.75) <= h_fraction_below(large, 0.75)
+    trend_ok = (
+        summarize(records, 1000, 0.75).fraction_h_below
+        <= summarize(records, 100000, 0.75).fraction_h_below
+    )
     ok = fraction >= 0.9 and median_large < median_small and trend_ok
     assert report(
         4,

@@ -378,6 +378,17 @@ class TestInvariantFailures:
             (lambda fd, d, n: {"fd": _one_degree_raised(fd)}, "degree sum"),
             (lambda fd, d, n: {"fd": _one_degree_raised(fd)}, "triangle + cusp area"),
         ],
+        # each case keeps the name it has always run under
+        ids=[
+            "<lambda>-division areas do not conserve",
+            "<lambda>-quotient inconsistent",
+            "<lambda>-boundary length exceeds",
+            "<lambda>-more than one boundary dart",
+            "<lambda>-large-cusp degree mass below its floor",
+            "<lambda>-area imbalance beyond allowance",
+            "<lambda>-degree sum",
+            "<lambda>-triangle + cusp area",
+        ],
     )
     def test_corrupted_division_flagged(self, change, message):
         g, fd, division = pipeline(100, 5)

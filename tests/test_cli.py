@@ -42,11 +42,6 @@ class TestSample:
         assert out == ""
         assert json.loads(path.read_text())["n"] == 2
 
-    def test_connected_flag(self, capsys):
-        code, out, err = run_cli(capsys, "sample", "--n", "3", "--seed", "0", "--connected")
-        assert code == 0
-        assert "connected=true" in err
-
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "sample", "--n", "4", "--seed", "9")
         _, out2, _ = run_cli(capsys, "sample", "--n", "4", "--seed", "9")
@@ -510,6 +505,23 @@ class TestGrid:
         assert "--s2-l" in err
         assert not out_dir.exists()
 
+    def test_s2_l_above_level_cap_exits_2_before_running(self, capsys, tmp_path):
+        # l = 62 needs subdivision level 30, the cap; a larger l would make
+        # every small cusp's horoball descent grow like l log l
+        code, _, _ = run_cli(
+            capsys, "grid", "--n-list", "50", "--trials", "1", "--s2-l", "62",
+            "--workers", "1", "--out", str(tmp_path / "at-cap"),
+        )
+        assert code == 0
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            capsys, "grid", "--n-list", "1000", "--trials", "2", "--s2-l", "1e12",
+            "--workers", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == "" and "exceeds cap" in err
+        assert not out_dir.exists()
+
     def test_broken_invariant_exits_1(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "invariant_failures", lambda g, fd, division: ["boom"])
         code, _, err = run_cli(
@@ -530,6 +542,7 @@ class TestNonFiniteNumbers:
             ("farey", "--l"),
             ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--threshold"),
         ],
+        ids=["argv0", "argv1", "argv2", "argv3", "argv4"],
     )
     def test_rejected_while_parsing(self, capsys, tmp_path, argv, value):
         out_dir = tmp_path / "d"
@@ -561,6 +574,18 @@ class TestRemovedOptions:
         assert out == ""
         assert "--y-factor" in err
         assert not out_dir.exists()
+
+    def test_connected_rejected(self, capsys, tmp_path):
+        # sample draws one uniform pairing per (n, seed) and never redraws
+        # it: --connected is an unknown argument
+        path = tmp_path / "g.json"
+        code, out, err = run_cli(
+            capsys, "sample", "--n", "3", "--seed", "0", "--connected", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "--connected" in err
+        assert not path.exists()
 
 
 class TestEntryPoint:

@@ -16,7 +16,6 @@ from belyi.cheeger import EmptyI1
 from belyi.experiments import (
     CSV_COLUMNS,
     TrialRecord,
-    h_fraction_below,
     lht_growth_fit,
     pool_plan,
     run_grid,
@@ -254,6 +253,7 @@ class TestPoolPlan:
             (1, 50, (1, 12)),
             (3, 0, (1, 1)),
         ],
+        ids=["2-50-plan0", "2-2-plan1", "4-3-plan2", "8-1-plan3", "1-50-plan4", "3-0-plan5"],
     )
     def test_count_and_chunk(self, workers, jobs, plan):
         assert pool_plan(workers, jobs) == plan
@@ -297,51 +297,29 @@ class TestLhtGrowthFit:
             lht_growth_fit(records)
 
 
-class TestHFractionBelow:
-    def test_infinite_threshold(self):
-        records = [synthetic_record(10, 5, h=h) for h in (0.1, 0.5, 2.0)]
-        assert h_fraction_below(records, math.inf) == 1.0
-
-    def test_counts_only_usable_rows(self):
-        usable = [synthetic_record(10, 5, h=h) for h in (0.1, 0.9)]
-        failed = TrialRecord(
-            n=10, seed=1, trial_index=2, status="empty_i1", lht=5, genus=None,
-            connected=True, min_degree=1, max_degree=50, sum_degrees=60,
-            num_i1=0, boundary_length=None, area_a=None, area_b=None,
-            h_upper=None, s2_size=None, wall_time_ms=0,
-        )
-        assert h_fraction_below(usable + [failed], 0.5) == pytest.approx(0.5)
-
-    def test_mixed_n_rejected(self):
-        records = [synthetic_record(10, 5), synthetic_record(20, 5)]
-        with pytest.raises(ValueError):
-            h_fraction_below(records, 1.0)
-
-    def test_no_usable_rows(self):
-        failed = TrialRecord(
-            n=10, seed=1, trial_index=0, status="disconnected", lht=5, genus=None,
-            connected=False, min_degree=1, max_degree=50, sum_degrees=60,
-            num_i1=None, boundary_length=None, area_a=None, area_b=None,
-            h_upper=None, s2_size=None, wall_time_ms=0,
-        )
-        with pytest.raises(ValueError, match=r"^no rows with a computed h_upper$"):
-            h_fraction_below([failed], 1.0)
-
-
 class TestSummarize:
     def test_basic(self):
-        records = [synthetic_record(10, lht) for lht in (4, 6)]
+        failed = dataclasses.replace(
+            synthetic_record(10, 5), status="empty_i1", num_i1=0, boundary_length=None,
+            area_a=None, area_b=None, h_upper=None,
+        )
+        records = [synthetic_record(10, lht) for lht in (4, 6)] + [failed]
         stats = summarize(records, 10, h_threshold=1.0)
-        assert stats.trials == 2
+        assert stats.trials == 3
         assert stats.usable == 2
         assert stats.mean_lht == pytest.approx(5.0)
+        # the fraction is over the usable rows: 2 of 2, not 2 of 3
         assert stats.fraction_h_below == 1.0
 
     def test_missing_n(self):
         with pytest.raises(ValueError, match=r"^no records at n=999$"):
             summarize([synthetic_record(10, 4)], 999)
 
-    @pytest.mark.parametrize("lhts, var", [((5,), 0.0), ((5, 5), 0.0), ((4, 6), 1.0)])
+    @pytest.mark.parametrize(
+        "lhts, var",
+        [((5,), 0.0), ((5, 5), 0.0), ((4, 6), 1.0)],
+        ids=["lhts0-0.0", "lhts1-0.0", "lhts2-1.0"],
+    )
     def test_var_lht_is_a_float(self, lhts, var):
         # pvariance of ints is an int when the variance is a whole number
         stats = summarize([synthetic_record(10, lht) for lht in lhts], 10)

@@ -439,3 +439,17 @@ class TestClassifySegments:
                 continue
             s2 = classify_segments(g, fd, i1, 4)
             assert len(s2) <= m_bound(4) * fd.lht
+
+    def test_level_cap(self):
+        # the footprints descend like count_intersecting and share its cap:
+        # l = 62 needs subdivision level 30, the cap, and l = 63 needs 31
+        g = sample(100, derive_seed(14, 0))
+        fd = faces(g)
+        i1 = partition_cusps(fd, 100)
+        classify_segments(g, fd, i1, 62)
+        for l, level in ((63, 31), (1e12, 499999999999)):
+            message = rf"^needed level {level} exceeds cap 30$"
+            with pytest.raises(ValueError, match=message):
+                classify_segments(g, fd, i1, l)
+            with pytest.raises(ValueError, match=message):
+                develop_horoball(fd, 0, l)

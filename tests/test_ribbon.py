@@ -7,6 +7,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from belyi import ribbon
@@ -18,7 +20,6 @@ from belyi.ribbon import (
     from_matching,
     rotation,
     sample,
-    sample_connected,
 )
 
 NOT_A_GRAPH = "a graph is an object with an integer n and a list of dart pairs"
@@ -372,7 +373,9 @@ class TestFaces:
                 outcomes.add(fd.connected)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("sizes", [(10, 40), (150, 25), (30, 300, 60)])
+    @pytest.mark.parametrize(
+        "sizes", [(10, 40), (150, 25), (30, 300, 60)], ids=["sizes0", "sizes1", "sizes2"]
+    )
     def test_connectivity_oracle_on_disjoint_unions(self, sizes):
         # each later graph's darts are shifted past the earlier ones, so the
         # union has one component per part at least and lht adds up
@@ -389,12 +392,37 @@ class TestFaces:
         assert fd.genus is None
         assert fd.lht == sum(part.lht for part in parts)
 
-    @pytest.mark.parametrize("matching", [(0, 0, 3, 0, 0, 0), (2, 0, 3, 0, 0, 0)])
+    @pytest.mark.parametrize(
+        "matching",
+        [(0, 0, 3, 0, 0, 0), (2, 0, 3, 0, 0, 0)],
+        ids=["matching0", "matching1"],
+    )
     def test_broken_invariant_raises(self, matching):
         # not involutions, which the constructor trusts; the trace yields a
         # connected graph with odd n - lht, or with negative genus
         with pytest.raises(BrokenInvariant):
             faces(RibbonGraph(1, matching))
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(
+        matching=st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.integers(0, 6 * n - 1), min_size=6 * n, max_size=6 * n)
+        )
+    )
+    def test_any_tuple_labels_every_dart_once(self, matching):
+        # the constructor trusts any tuple in [0, 6n); the trace either
+        # refuses it or labels each dart once, so the degrees sum to 6n
+        g = RibbonGraph(len(matching) // 6, tuple(matching))
+        try:
+            fd = faces(g)
+        except BrokenInvariant:
+            return
+        assert sum(fd.degrees) == g.num_darts
+        assert 0 not in fd.label
+
+    def test_always_connected_at_n1(self):
+        for m in all_matchings(list(range(6))):
+            assert faces(from_matching(1, m)).connected
 
     def test_relabeling_invariance(self):
         rng = random.Random(2024)
@@ -415,36 +443,6 @@ class TestFaces:
             assert fd2.connected == fd.connected
             assert fd2.genus == fd.genus
             assert sorted(fd2.degrees) == sorted(fd.degrees)
-
-
-class TestSampleConnected:
-    def test_always_connected_at_n1(self):
-        for m in all_matchings(list(range(6))):
-            assert faces(from_matching(1, m)).connected
-
-    def test_deterministic(self):
-        assert sample_connected(2, 5) == sample_connected(2, 5)
-
-    def test_agrees_with_sample_when_first_draw_connected(self):
-        g = sample(5, 3)
-        assert faces(g).connected
-        assert sample_connected(5, 3) == (g, faces(g))
-
-    def test_skips_disconnected_draw(self):
-        # seed 0 at n=3 gives a disconnected sample
-        assert not faces(sample(3, 0)).connected
-        g, fd = sample_connected(3, 0)
-        assert g != sample(3, 0)
-        assert fd == faces(g) and fd.connected
-
-    def test_large_sample_connected(self):
-        g, fd = sample_connected(1000, 3)
-        assert fd == faces(g) and fd.connected
-
-    def test_rejection_budget(self, monkeypatch):
-        monkeypatch.setattr(ribbon, "MAX_REJECTIONS", 0)
-        with pytest.raises(RuntimeError, match=r"^no connected sample for n=3 after 0 rejections$"):
-            sample_connected(3, 0)
 
 
 class TestDeriveSeed:
