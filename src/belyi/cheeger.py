@@ -87,20 +87,27 @@ class Division:
     cusp (those outside ``i1``) are B; each triangle takes the majority
     label of its three darts.  ``minority`` is a 6n-byte mask, 1 at each
     minority dart and 0 elsewhere (left out of ``repr``); the full
-    boundary is those unit segments plus the cut curves.
+    boundary is those unit segments plus the cut curves.  Its length and
+    ``h_upper`` are read off these parts and both areas on each call.
     """
 
     i1: frozenset[int]
     cuts: tuple[CuspCut, ...]
     minority: bytes = field(repr=False)
-    boundary_length: float
     area_a: float
     area_b: float
-    h_upper: float
 
     @property
     def num_i1(self) -> int:
         return len(self.i1)
+
+    @property
+    def boundary_length(self) -> float:
+        return float(self.minority.count(1)) + math.fsum(c.eta_length for c in self.cuts)
+
+    @property
+    def h_upper(self) -> float:
+        return self.boundary_length / min(self.area_a, self.area_b)
 
     @property
     def boundary_segments(self) -> frozenset[int]:
@@ -132,7 +139,7 @@ def build_cusp_cut(face_id: int, d: int, n: int) -> CuspCut:
 
 def cheeger_upper_bound(g: RibbonGraph, fd: FaceDecomposition, n: int) -> Division:
     """Find the large cusps, cut them, label every triangle and measure
-    the division.
+    both areas, off which the boundary length and ``h_upper`` are read.
 
     Darts in the first k walk positions of a large-cusp face (the face
     cycle is anchored at its minimal dart) border side 1 and carry A;
@@ -171,7 +178,6 @@ def cheeger_upper_bound(g: RibbonGraph, fd: FaceDecomposition, n: int) -> Divisi
     for r, side in enumerate((s0, s1, s2)):
         minority[r::3] = (side ^ majority).to_bytes(num_v, "little")
 
-    boundary_length = float(minority.count(1)) + math.fsum(c.eta_length for c in cuts)
     tri_area = small_triangle_area()
     num_a_triangles = majority.bit_count()
     area_a = math.fsum(c.side1_area for c in cuts) + tri_area * num_a_triangles
@@ -185,10 +191,8 @@ def cheeger_upper_bound(g: RibbonGraph, fd: FaceDecomposition, n: int) -> Divisi
         i1=i1,
         cuts=cuts,
         minority=bytes(minority),
-        boundary_length=boundary_length,
         area_a=area_a,
         area_b=area_b,
-        h_upper=boundary_length / min(area_a, area_b),
     )
 
 
@@ -202,7 +206,7 @@ def in_f_star(fd: FaceDecomposition, epsilon_l: float, c: float, n: int) -> bool
     (Brooks-Makover); the paper's probability floor 1 - 2/c for F*
     (module docstring) rests on it.
     """
-    if c <= 0:
+    if not c > 0:  # also rejects NaN
         raise ValueError(f"c must be positive, got {c}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -216,8 +220,7 @@ def invariant_failures(
     """Every identity a sample must satisfy, one message per failure.
 
     The graph's identities always; with ``division`` also its areas,
-    large-cusp mass floor, boundary darts and length, quotient and area
-    imbalance.  A non-empty result means a bug.
+    large-cusp mass floor, boundary darts and length, and area imbalance.  A non-empty result means a bug.
     """
     n = g.n
     failures: list[str] = []
@@ -246,9 +249,6 @@ def invariant_failures(
     eta_total = math.fsum(c.eta_length for c in division.cuts)
     if division.boundary_length > 2 * n + eta_total + 1e-9:
         failures.append("boundary length exceeds 2n plus the cut curves")
-    quotient = division.h_upper * min(division.area_a, division.area_b)
-    if not math.isclose(quotient, division.boundary_length, rel_tol=1e-12):
-        failures.append("quotient inconsistent with boundary length")
     # area_b - area_a = sum_cuts (side2 - side1) + (degree mass outside i1)
     # + (pi - 3)(#B - #A) with |#B - #A| <= 2n, so the triangle inequality
     # bounds the imbalance by the sum of the three terms' absolute values.

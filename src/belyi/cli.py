@@ -223,8 +223,8 @@ def _suite_farey() -> list[str]:
     for m in range(1, 13):
         level = farey.enumerate_level(m)
         _check(len(level) == 2 ** (m - 1), f"level {m}: wrong size", failures)
-        row = farey.vertex_row(m)
-        gap = max(b - a for a, b in zip(row, row[1:]))
+        # each level-(m+1) triangle spans one gap of row m
+        gap = max(t.right - t.left for t in farey.enumerate_level(m + 1))
         _check(gap <= Fraction(1, m + 1), f"row {m}: gap bound fails", failures)
     for l in range(1, 31):
         _check(
@@ -277,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("farey", help="subdivision counts and bounds as JSON")
     p.add_argument("--l", type=_positive_finite, required=True, help="strip depth parameter")
     p.add_argument(
-        "--level", type=int, choices=range(1, 17), metavar="{1..16}",
+        "--level", type=int, choices=range(1, farey.LISTING_CAP + 1),
+        metavar=f"{{1..{farey.LISTING_CAP}}}",
         help="also list the 2^(level-1) triangles of this level",
     )
     p.set_defaults(func=_cmd_farey)

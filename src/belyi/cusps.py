@@ -48,7 +48,9 @@ def small_triangle_area() -> float:
 
 def exact_l(l) -> Fraction:
     """A horocycle length or strip depth ``l`` as an exact Fraction (ints
-    and floats convert exactly); ValueError unless it is positive."""
+    and floats convert exactly); ValueError unless finite and positive."""
+    if l != l or l in (math.inf, -math.inf):  # exact for any int; only NaN != NaN
+        raise ValueError(f"l must be finite, got {l}")
     lq = Fraction(l)
     if lq <= 0:
         raise ValueError(f"l must be positive, got {l}")
@@ -91,8 +93,6 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     lq = exact_l(l)
     l2 = lq * lq
     small = [j for j, d in enumerate(fd.degrees) if d <= lq]
-    if not small:
-        return True
     degrees, label = fd.degrees, fd.label
 
     def degree_of(a: int) -> int:

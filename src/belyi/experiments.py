@@ -111,6 +111,8 @@ def run_trial(
     raise ``BrokenInvariant``, naming n and seed, if an identity fails."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
+    if s2_l is not None:
+        _capped_l(s2_l)  # checked on every seed, not only where the draw is connected
     t0 = time.perf_counter()
     g = sample(n, seed)
     fd = faces(g)

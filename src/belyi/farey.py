@@ -12,9 +12,9 @@ unrolling a cusp of degree d into its width-d strip puts one ideal
 triangle under each integer interval of the top row, and crossing a
 side replaces an interval endpoint by the mediant.  Tracking which
 surface triangle each developed copy comes from yields the triangle
-indices met by a cusp's depth-l horoball.  The level rows come from one
+indices met by a cusp's depth-l horoball.  The levels come from one
 list of gaps with integer (numerator, denominator) ends; only
-``vertex_row`` and ``enumerate_level`` build Fractions.
+``enumerate_level`` builds Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .ribbon import FaceDecomposition, RibbonGraph
 
 __all__ = [
     "FareyTriangle",
-    "vertex_row",
     "enumerate_level",
     "count_intersecting",
     "n_bound",
@@ -37,8 +36,10 @@ __all__ = [
     "classify_segments",
 ]
 
-# the deepest subdivision level any function here will reach
+# the deepest subdivision level a horoball descent will reach
 LEVEL_CAP = 30
+# the deepest level ``enumerate_level`` lists; level m holds 2^(m-1) triangles
+LISTING_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -50,18 +51,18 @@ class FareyTriangle:
     right: Fraction
 
 
-def _gaps(m: int, lowest: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Gaps of the vertex row after m - lowest rounds of mediant insertion.
+def _gaps(m: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Gaps of the vertex row after m - 1 rounds of mediant insertion.
 
     Each end is a (numerator, denominator) pair.  The ends a/b < c/d of
-    every gap satisfy bc - ad = 1, so each mediant is in lowest terms.
+    every gap satisfy bc - ad = 1, so each mediant is already reduced.
     """
-    if m < lowest:
-        raise ValueError(f"m must be >= {lowest}, got {m}")
-    if m > LEVEL_CAP:
-        raise ValueError(f"m={m} exceeds cap {LEVEL_CAP}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > LISTING_CAP:
+        raise ValueError(f"m={m} exceeds cap {LISTING_CAP}")
     gaps = [((0, 1), (1, 1))]
-    for _ in range(m - lowest):
+    for _ in range(m - 1):
         nxt = []
         for p, r in gaps:
             mid = (p[0] + r[0], p[1] + r[1])
@@ -70,16 +71,11 @@ def _gaps(m: int, lowest: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     return gaps
 
 
-def vertex_row(m: int) -> list[Fraction]:
-    """Vertex row after m rounds of mediant insertion (2^m + 1 points)."""
-    return [Fraction(*p) for p, _ in _gaps(m, 0)] + [Fraction(1)]
-
-
 def enumerate_level(m: int) -> list[FareyTriangle]:
-    """The 2^(m-1) triangles created at subdivision step m >= 1."""
+    """The 2^(m-1) triangles of level m, for 1 <= m <= ``LISTING_CAP``."""
     return [
         FareyTriangle(Fraction(a, b), Fraction(a + c, b + d), Fraction(c, d))
-        for (a, b), (c, d) in _gaps(m, 1)
+        for (a, b), (c, d) in _gaps(m)
     ]
 
 

@@ -267,6 +267,12 @@ class TestInFStar:
             with pytest.raises(ValueError, match=r"^l must be positive, got 0$"):
                 in_f_star(fd, 0, c, 100)
 
+    def test_c_not_positive(self):
+        fd = faces(from_matching(1, [(0, 3), (1, 4), (2, 5)]))
+        for c in (0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^c must be positive, got {c}$"):
+                in_f_star(fd, 2, c, 100)
+
 
 class TestDegreeMassBound:
     """The paper's sum_{i1} d_i >= (6 - c/log n) n, wherever lht <= c log n."""
@@ -358,9 +364,8 @@ class TestInvariantFailures:
         "change, message",
         [
             (lambda fd, d, n: {"area_a": d.area_a + 1}, "division areas do not conserve"),
-            (lambda fd, d, n: {"h_upper": d.h_upper * 2}, "quotient inconsistent"),
             (
-                lambda fd, d, n: {"boundary_length": d.boundary_length + n},
+                lambda fd, d, n: {"minority": b"\x01" * len(d.minority)},
                 "boundary length exceeds",
             ),
             (
@@ -381,7 +386,6 @@ class TestInvariantFailures:
         # each case keeps the name it has always run under
         ids=[
             "<lambda>-division areas do not conserve",
-            "<lambda>-quotient inconsistent",
             "<lambda>-boundary length exceeds",
             "<lambda>-more than one boundary dart",
             "<lambda>-large-cusp degree mass below its floor",

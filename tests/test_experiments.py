@@ -80,6 +80,13 @@ class TestRunTrial:
             with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
                 run_trial(2, seed, 0)
 
+    def test_s2_l_checked_before_sampling(self):
+        # seed 0 draws a disconnected surface at n = 3, where no footprint is developed
+        assert run_trial(3, 0, 0).status == "disconnected"
+        for seed in (0, 1):
+            with pytest.raises(ValueError, match=r"exceeds cap"):
+                run_trial(3, seed, 0, s2_l=1e12)
+
     def test_broken_invariant_names_n_and_seed(self, monkeypatch):
         checked = []
 

@@ -15,7 +15,6 @@ from belyi.farey import (
     enumerate_level,
     m_bound,
     n_bound,
-    vertex_row,
 )
 from belyi.ribbon import derive_seed, faces, from_matching, rotation, sample
 
@@ -54,14 +53,12 @@ class TestEnumerateLevel:
         assert total == 2**12 - 1
 
     def test_gap_bound_exhaustive(self):
+        # each level-(m+1) triangle spans one gap of row m
         for m in range(1, 13):
-            row = vertex_row(m)
-            assert len(row) == 2**m + 1
-            assert max(b - a for a, b in zip(row, row[1:])) <= F(1, m + 1)
+            assert max(t.right - t.left for t in enumerate_level(m + 1)) <= F(1, m + 1)
 
     def test_gap_tight_at_two(self):
-        row = vertex_row(2)
-        assert max(b - a for a, b in zip(row, row[1:])) == F(1, 3)
+        assert max(t.right - t.left for t in enumerate_level(3)) == F(1, 3)
 
     def test_new_denominators_grow(self):
         seen = {F(0), F(1)}
@@ -78,19 +75,12 @@ class TestEnumerateLevel:
                 assert F(0) < t.apex < F(1)
 
     def test_level_cap(self):
-        with pytest.raises(ValueError, match=r"^m=31 exceeds cap 30$"):
-            enumerate_level(31)
+        with pytest.raises(ValueError, match=r"^m=17 exceeds cap 16$"):
+            enumerate_level(17)
 
     def test_invalid_level(self):
         with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
             enumerate_level(0)
-
-    def test_vertex_row_bounds(self):
-        assert vertex_row(0) == [F(0), F(1)]
-        with pytest.raises(ValueError, match=r"^m=31 exceeds cap 30$"):
-            vertex_row(31)
-        with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
-            vertex_row(-1)
 
 
 class TestIntersectsStrip:
@@ -195,8 +185,9 @@ class TestLengthCheck:
             lambda l: in_f_star(fd, l, 10, 100),
         ]
         for call in calls:
-            for l in (0, -1.5):
-                with pytest.raises(ValueError, match=rf"^l must be positive, got {l}$"):
+            for l, wording in [(0, "positive"), (-1.5, "positive"), (math.inf, "finite"),
+                               (math.nan, "finite")]:
+                with pytest.raises(ValueError, match=rf"^l must be {wording}, got {l}$"):
                     call(l)
 
 
