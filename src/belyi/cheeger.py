@@ -156,7 +156,7 @@ def cheeger_upper_bound(g: RibbonGraph, fd: FaceDecomposition, n: int) -> Divisi
     if n != g.n:
         raise ValueError(f"n={n} does not match the graph's n={g.n}")
     if not fd.connected:
-        raise ValueError("the sampled graph is disconnected")
+        raise ValueError("the graph is disconnected")
     i1 = partition_cusps(fd, n)
     if not i1:
         raise EmptyI1("no cusp exceeds the degree threshold")
@@ -164,9 +164,9 @@ def cheeger_upper_bound(g: RibbonGraph, fd: FaceDecomposition, n: int) -> Divisi
 
     side_a = bytearray(g.num_darts)  # 1 where the dart borders a side-1 arc
     for cut in cuts:
-        cycle = fd.faces[cut.face_id]
-        for t in range(cut.k):
-            side_a[cycle[t]] = 1
+        first = fd.starts[cut.face_id]
+        for d in fd.walk[first : first + cut.k]:
+            side_a[d] = 1
 
     # byte v of slice r is dart 3v + r of triangle v; the bitwise majority
     # of the three slices, read back as bytes, is 1 where triangle v is A

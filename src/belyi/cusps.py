@@ -100,7 +100,7 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
 
     for j in small:
         d_j = degrees[j]
-        for c in fd.faces[j]:
+        for c in fd.face(j):
             # the triangle of corner c has its other corners at the integer
             # lifts t+1 (dart rotation(c)) and t (dart rotation^2(c))
             if d_j * min(degree_of(rotation(c)), degree_of(rotation(rotation(c)))) <= l2:
@@ -118,7 +118,7 @@ def develop_strip(
     """Breadth-first development of cusp j's strip below its top row.
 
     The width-d strip of a degree-d cusp has one top-row triangle over
-    each [t, t+1]: corner dart c = fd.faces[j][t] at the cusp, rotation(c)
+    each [t, t+1]: corner dart c = fd.face(j)[t] at the cusp, rotation(c)
     at t+1 and rotation(rotation(c)) at t, so the right side of column t
     and the left side of column t+1 are one edge (the orientation-
     preserving convention).  Crossing its bottom side enters dart
@@ -134,7 +134,7 @@ def develop_strip(
     """
     matching = fd.matching
     queue: deque[tuple[int, tuple, tuple]] = deque()
-    for t, c in enumerate(fd.faces[j]):
+    for t, c in enumerate(fd.face(j)):
         p, r = (t, 1), (t + 1, 1)
         if enter(p, r):
             queue.append((matching[rotation(c)], p, r))

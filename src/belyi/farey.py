@@ -144,7 +144,7 @@ def develop_horoball(fd: FaceDecomposition, j: int, l) -> list[int]:
     if d_j > lq:
         return []
     below = develop_strip(fd, j, lambda p, r: 2 * d_j * p[1] * r[1] < lq)
-    return [c // 3 for c in fd.faces[j]] + [a // 3 for a, _, _ in below]
+    return [c // 3 for c in fd.face(j)] + [a // 3 for a, _, _ in below]
 
 
 def classify_segments(

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "BrokenInvariant",
@@ -33,6 +34,9 @@ __all__ = [
     "sample",
     "faces",
 ]
+
+
+MAX_N = (2**32 - 1) // 6  # the largest n whose 6n darts fit an array("I")
 
 
 class BrokenInvariant(RuntimeError):
@@ -62,16 +66,21 @@ class RibbonGraph:
 
     ``matching[d]`` is the dart glued to dart ``d``.  The rotation is
     implicit (the fixed 3-cycles per vertex), so two graphs are equal
-    exactly when their matchings are.
+    exactly when their matchings are.  ``sample`` and ``from_matching``
+    store the matching as an ``array("I")``, 4 bytes a dart with no int
+    object behind each entry; ``matching`` is left out of ``hash``.
 
     The constructor trusts its arguments: ``n >= 1`` and ``matching`` a
-    fixed-point-free involution on ``[0, 6n)``.  Outside input enters
-    through ``from_matching`` or ``from_json_dict``, which validate it;
-    ``sample`` builds valid graphs by construction.
+    fixed-point-free involution on ``[0, 6n)``, as any sequence of ints.
+    A graph built from a tuple is not ``==`` the same graph built by
+    ``sample`` or ``from_matching``, since an array never equals a
+    tuple.  Outside input enters through ``from_matching`` or
+    ``from_json_dict``, which validate it; ``sample`` builds valid graphs
+    by construction.
     """
 
     n: int
-    matching: tuple[int, ...]
+    matching: Sequence[int] = field(hash=False)
 
     @property
     def num_darts(self) -> int:
@@ -83,7 +92,7 @@ class RibbonGraph:
 
     def pairs(self) -> list[tuple[int, int]]:
         """The matching as a sorted list of (low, high) dart pairs."""
-        return [(d, self.matching[d]) for d in range(self.num_darts) if d < self.matching[d]]
+        return [(d, e) for d, e in enumerate(self.matching) if d < e]
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "matching": [[a, b] for a, b in self.pairs()]}
@@ -100,23 +109,35 @@ class RibbonGraph:
 class FaceDecomposition:
     """Left-hand-turn faces of a ribbon graph.
 
-    ``faces`` are the orbits of the face permutation, each listed in
-    walk order starting from its smallest dart and holding the int
-    objects of ``matching``, not copies; ``degrees`` are the orbit
-    lengths.  ``genus`` is defined only for connected graphs.
-    ``label[d]`` is the 1-based face of dart ``d`` and ``matching`` is
-    the traced graph's matching (the same object, not a copy), so later
-    layers need not rebuild either; both are left out of ``==``,
-    ``hash`` and ``repr``.
+    The faces are the orbits of the face permutation, each in walk order
+    starting from its smallest dart.  ``walk`` is an ``array("I")`` of
+    all 6n darts, face after face, and face ``j`` is
+    ``walk[starts[j]:starts[j + 1]]`` (``face(j)``); ``starts`` ends
+    with 6n.  ``degrees`` are the orbit lengths.  ``genus`` is defined
+    only for connected graphs.  ``label[d]`` is the 1-based face of dart
+    ``d`` and ``matching`` is the traced graph's matching (the same
+    object, not a copy), so later layers need not rebuild either; both
+    are left out of ``==``, ``hash`` and ``repr``, and ``walk`` out of
+    ``hash``.
     """
 
-    faces: tuple[tuple[int, ...], ...]
+    walk: Sequence[int] = field(hash=False)
+    starts: tuple[int, ...]
     degrees: tuple[int, ...]
     lht: int
     genus: int | None
     connected: bool
     label: list[int] = field(repr=False, compare=False)
-    matching: tuple[int, ...] = field(repr=False, compare=False)
+    matching: Sequence[int] = field(repr=False, compare=False)
+
+    def face(self, j: int) -> Sequence[int]:
+        """The darts of face ``j`` in walk order, as a slice of ``walk``."""
+        return self.walk[self.starts[j] : self.starts[j + 1]]
+
+    @property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Every face as a tuple, rebuilt from ``walk`` on each call."""
+        return tuple(tuple(self.face(j)) for j in range(self.lht))
 
     @property
     def min_degree(self) -> int:
@@ -131,23 +152,32 @@ class FaceDecomposition:
         return sum(self.degrees)
 
 
+def _check_n(n: int) -> None:
+    """Reject an ``n`` outside ``[1, MAX_N]`` before anything is allocated."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n must be <= {MAX_N}, so that 6n darts fit uint32, got {n}")
+
+
 def from_matching(n: int, matching: Sequence[Sequence[int]]) -> RibbonGraph:
     """Build a validated graph from a list (any sized sequence) of dart pairs.
 
     ``n`` and the darts must be ``int`` (not ``bool``), each entry a pair,
     and the pairs must cover [0, 6n) exactly once with no self-pairs.  A
     ``matching`` of other than 3n pairs is rejected before the 6n-entry
-    partner list is allocated; 3n pairs of distinct in-range darts then
-    cover all 6n darts.
+    partner array is allocated; 3n pairs of distinct in-range darts then
+    cover all 6n darts.  The partner array starts filled with the
+    out-of-range sentinel 6n, which marks a dart not yet paired; an ``n``
+    above ``MAX_N`` is refused first.
     """
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     if len(matching) != 3 * n:
         raise ValueError(f"matching has {len(matching)} pairs, expected 3n = {3 * n}")
     total = 6 * n
-    alpha = [-1] * total
+    alpha = array("I", [total]) * total
     for pair in matching:
         try:
             a, b = pair
@@ -159,15 +189,15 @@ def from_matching(n: int, matching: Sequence[Sequence[int]]) -> RibbonGraph:
             raise ValueError(f"dart {a} is paired with itself")
         if not 0 <= a < total:
             raise ValueError(f"dart {a} is outside [0, 6n)")
-        if alpha[a] != -1:
+        if alpha[a] != total:
             raise ValueError(f"dart {a} appears in more than one pair")
         if not 0 <= b < total:
             raise ValueError(f"dart {b} is outside [0, 6n)")
-        if alpha[b] != -1:
+        if alpha[b] != total:
             raise ValueError(f"dart {b} appears in more than one pair")
         alpha[a] = b
         alpha[b] = a
-    return RibbonGraph(n, tuple(alpha))
+    return RibbonGraph(n, alpha)
 
 
 def sample(n: int, seed: int) -> RibbonGraph:
@@ -182,10 +212,13 @@ def sample(n: int, seed: int) -> RibbonGraph:
     The shuffle's loop is written out to save a Python call per dart:
     position ``i``, from the last down to 1, draws ``getrandbits(k)``
     with ``k = (i + 1).bit_length()`` until the draw is at most ``i``,
-    as ``Random._randbelow_with_getrandbits`` does, and swaps.
+    as ``Random._randbelow_with_getrandbits`` does, and swaps.  The
+    pairs are written into an ``array("I")``, so the shuffled list and
+    its 6n int objects are freed when this returns.  An ``n`` above
+    ``MAX_N``, whose darts would not fit, is refused before the list is
+    built.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     total = 6 * n
     getrandbits = random.Random(seed).getrandbits
     darts = list(range(total))
@@ -199,24 +232,33 @@ def sample(n: int, seed: int) -> RibbonGraph:
                 j = getrandbits(k)
             darts[i], darts[j] = darts[j], darts[i]
         top = low - 2
-    alpha = [0] * total
+    alpha = array("I", [0]) * total
     it = iter(darts)
     for a, b in zip(it, it):  # neighbours
         alpha[a] = b
         alpha[b] = a
-    # alpha now holds every dart's int; the iterator keeps the list alive,
-    # so both names must go for the list to be freed before the tuple
-    del darts, it
-    return RibbonGraph(n, tuple(alpha))
+    return RibbonGraph(n, alpha)
 
 
-def _face_components(label: list[int], lht: int) -> int:
+def _face_components(label: list[int], lht: int, firsts: Iterable[int]) -> int:
     """Number of classes of the faces ``1 .. lht`` once the faces at each
-    vertex, the labels of darts ``3v, 3v + 1, 3v + 2``, are united."""
+    vertex, the labels of darts ``3v, 3v + 1, 3v + 2``, are united.
+
+    The vertices of the darts in ``firsts`` go first; the set of distinct
+    triples over every vertex is built and scanned only while more than
+    one class is left, so the count is exact for any ``firsts``.
+    """
     parent = list(range(lht + 1))
     components = lht
-    it = iter(label)
-    for x, y, z in set(zip(it, it, it)):  # the faces at each vertex, once per distinct triple
+
+    def triples():
+        for d in firsts:
+            v = d - d % 3
+            yield label[v], label[v + 1], label[v + 2]
+        it = iter(label)
+        yield from set(zip(it, it, it))  # every vertex, once per distinct triple
+
+    for x, y, z in triples():
         for a, b in ((x, y), (y, z)):
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
@@ -227,6 +269,8 @@ def _face_components(label: list[int], lht: int) -> int:
             if a != b:
                 parent[a] = b
                 components -= 1
+        if components == 1:  # before the next triple, which may build the set
+            break
     return components
 
 
@@ -242,37 +286,41 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
 
     Rotation and matching generate the same group as rotation and the
     face permutation, so the graph is connected exactly when its faces
-    are connected through the three darts of each vertex.  Each vertex
-    contributes the triple of its darts' face labels, read from
-    ``label`` at C speed into a set; a union-find over the ``lht`` faces
-    (``_face_components``) then unites the faces of each distinct triple.
+    are connected through the three darts of each vertex.  A union-find
+    over the ``lht`` faces (``_face_components``) unites the faces at the
+    vertex of each face's smallest dart, and only if that leaves more
+    than one class, the faces of each distinct triple of face labels
+    over all vertices, read from ``label`` at C speed into a set.
 
-    Each cycle entry is the int object ``g.matching`` already holds for
-    that dart (``m[m[d]]``, which is ``d``), so the 6n entries share the
-    matching's ints instead of allocating 6n new ones.
+    The darts go straight into one ``array("I")`` walk, 4 bytes each,
+    with no per-face list or tuple, so a dart's int lives only while it
+    is the walk's current dart.  ``label`` stays a list: an array's
+    ``index(0, start)`` would build an int for every entry it compares.
     """
     total = g.num_darts
     m = g.matching
     step = (1, 1, -2)  # rotation(e) - e, indexed by e % 3
     label = [0] * total  # 1-based face index of each dart; 0 = not yet traced
-    orbits: list[tuple[int, ...]] = []
-    traced = start = 0
-    while traced < total:
+    walk = array("I")
+    append = walk.append
+    starts = []
+    firsts = []  # the smallest dart of each face
+    start = 0
+    while len(walk) < total:
         start = label.index(0, start)  # smallest untraced dart, at C speed
-        k = len(orbits) + 1
-        cycle = []
-        append = cycle.append
+        firsts.append(start)
+        starts.append(len(walk))
+        k = len(starts)
         d = start
         while not label[d]:
             label[d] = k
+            append(d)
             e = m[d]
-            append(m[e])  # d itself, as the int the matching already holds
             d = e + step[e % 3]
-        traced += len(cycle)
-        orbits.append(tuple(cycle))
-    degrees = tuple(len(c) for c in orbits)
-    lht = len(orbits)
-    connected = _face_components(label, lht) == 1
+    starts.append(total)
+    degrees = tuple(b - a for a, b in zip(starts, starts[1:]))
+    lht = len(degrees)
+    connected = _face_components(label, lht, firsts) == 1
     genus: int | None = None
     if connected:
         # chi = V - E + F = -n + lht for a cubic graph on 2n vertices
@@ -281,4 +329,4 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
         genus = 1 + (g.n - lht) // 2
         if genus < 0:
             raise BrokenInvariant(f"genus {genus} < 0 (n = {g.n}, lht = {lht})")
-    return FaceDecomposition(tuple(orbits), degrees, lht, genus, connected, label, m)
+    return FaceDecomposition(walk, tuple(starts), degrees, lht, genus, connected, label, m)

@@ -224,7 +224,7 @@ class TestCheegerUpperBound:
         g = sample(3, 0)
         fd = faces(g)
         assert not fd.connected
-        with pytest.raises(ValueError, match=r"^the sampled graph is disconnected$"):
+        with pytest.raises(ValueError, match=r"^the graph is disconnected$"):
             cheeger_upper_bound(g, fd, 3)
 
     def test_n_mismatch_rejected(self):

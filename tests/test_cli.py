@@ -35,6 +35,13 @@ class TestSample:
         assert code == 2
         assert "error" in err
 
+    def test_n_beyond_uint32_darts_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--n", "800000000", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n must be <= 715827882, so that 6n darts fit uint32, got 800000000\n"
+        )
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         code, out, _ = run_cli(capsys, "sample", "--n", "2", "--seed", "1", "--out", str(path))
@@ -127,7 +134,7 @@ class TestCheeger:
         )
         code, _, err = run_cli(capsys, "cheeger", "--graph", str(path))
         assert code == 2
-        assert "disconnected" in err
+        assert err == "error: the graph is disconnected\n"
 
     @pytest.mark.parametrize(
         "n, first_pair",

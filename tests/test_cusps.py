@@ -79,7 +79,8 @@ class TestPartition:
         from belyi.ribbon import FaceDecomposition
 
         fd = FaceDecomposition(
-            faces=((0,) * 200, (0,) * 50),  # only degrees matter here
+            walk=(0,) * 250,  # only degrees matter here
+            starts=(0, 200, 250),
             degrees=(200, 50),
             lht=2,
             genus=None,
@@ -109,11 +110,11 @@ class TestPartition:
         threshold = degree_threshold(n)
         low = int(threshold)
         for d in (low, low + 1, low + 10, 6 * n):
-            fd = FaceDecomposition(((0,) * d,), (d,), 1, None, False, (), ())
+            fd = FaceDecomposition((0,) * d, (0, d), (d,), 1, None, False, (), ())
             if d > threshold:
                 assert partition_cusps(fd, n) == {0}
         # strictly above is required
-        fd = FaceDecomposition(((0,) * low,), (low,), 1, None, False, (), ())
+        fd = FaceDecomposition((0,) * low, (0, low), (low,), 1, None, False, (), ())
         assert 0 not in partition_cusps(fd, n)
 
     def test_n_too_small(self):

@@ -12,7 +12,8 @@ import sys
 import pytest
 
 from belyi import experiments
-from belyi.cheeger import EmptyI1
+from belyi.cheeger import EmptyI1, in_f_star
+from belyi.cli import main
 from belyi.experiments import (
     CSV_COLUMNS,
     TrialRecord,
@@ -23,7 +24,7 @@ from belyi.experiments import (
     summarize,
     write_csv,
 )
-from belyi.ribbon import BrokenInvariant
+from belyi.ribbon import BrokenInvariant, FaceDecomposition, faces, sample
 
 
 def read_rows(path):
@@ -86,6 +87,18 @@ class TestRunTrial:
         for seed in (0, 1):
             with pytest.raises(ValueError, match=r"exceeds cap"):
                 run_trial(3, seed, 0, s2_l=1e12)
+
+    def test_no_layer_rebuilds_every_face(self, monkeypatch):
+        # the cut, the footprints and the F* test read the walk, face by face
+        def rebuilt(fd):
+            raise AssertionError("every face rebuilt")
+
+        monkeypatch.setattr(FaceDecomposition, "faces", property(rebuilt))
+        n = 10_000
+        rec = run_trial(n, 5, 0, s2_l=4)
+        assert rec.status == "ok" and rec.s2_size is not None
+        assert isinstance(in_f_star(faces(sample(n, 5)), 2, 10, n), bool)
+        assert main(["cheeger", "--n", "2000", "--seed", "1"]) == 0
 
     def test_broken_invariant_names_n_and_seed(self, monkeypatch):
         checked = []

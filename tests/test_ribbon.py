@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import random
 import re
 
@@ -79,7 +78,7 @@ class TestGoldenFingerprints:
 
     def test_sample_and_faces(self):
         g = sample(GOLDEN_N, GOLDEN_SEED)
-        assert sha256_of(g.matching) == GOLDEN_MATCHING_SHA256
+        assert sha256_of(tuple(g.matching)) == GOLDEN_MATCHING_SHA256
         fd = faces(g)
         assert sha256_of(fd.faces) == GOLDEN_FACES_SHA256
         assert (fd.lht, fd.genus, fd.connected) == (12, 49995, True)
@@ -133,10 +132,18 @@ class TestFromMatching:
 
     def test_wrong_dart_count_before_allocation(self):
         # a sized matching of the wrong length is rejected before the
-        # 6n-entry partner list (here 6e15 entries) is allocated
-        message = f"matching has 0 pairs, expected 3n = {3 * 10**15}"
+        # 6n-entry partner array (here 17 GB) is allocated
+        message = f"matching has 0 pairs, expected 3n = {3 * ribbon.MAX_N}"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            from_matching(10**15, [])
+            from_matching(ribbon.MAX_N, [])
+
+    def test_darts_beyond_uint32_rejected_first(self):
+        # 6n darts must fit the partner array's uint32 entries; this is
+        # checked before the pair count
+        message = f"n must be <= 715827882, so that 6n darts fit uint32, got {2**30}"
+        assert ribbon.MAX_N == 715_827_882 and 6 * (ribbon.MAX_N + 1) > 2**32 - 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_matching(2**30, [])
 
     def test_wrong_dart_count_unsized(self):
         # the pair count is checked on every input, so an iterator is refused
@@ -214,13 +221,19 @@ class TestFromMatching:
 
 class TestSample:
     def test_peak_memory_per_dart(self, peak_bytes):
-        # the shuffled list, the partner list and the matching's tuple, 8
-        # bytes a dart each, and one int per dart (32); the list is freed
-        # before the tuple is built, and half-size slices would add 8
+        # the shuffled list (8 bytes a dart), one int per dart (32) and the
+        # matching's array (4); a temporary bytes to build the array from
+        # would add 4, and half-size slices 8
         n = 10_000
         peak, g = peak_bytes(sample, n, derive_seed(67, "memory"))
         assert g.num_darts == 6 * n
-        assert peak <= 52 * g.num_darts, peak / g.num_darts
+        assert peak <= 45 * g.num_darts, peak / g.num_darts
+
+    def test_retained_memory_per_dart(self, retained_bytes):
+        # the matching's array, 4 bytes a dart; the shuffled list and its
+        # ints are freed on return, and a tuple would keep them (40)
+        kept, g = retained_bytes(sample, 10_000, derive_seed(67, "memory"))
+        assert kept <= 5 * g.num_darts, kept / g.num_darts
 
     def test_deterministic(self):
         assert sample(1, 42) == sample(1, 42)
@@ -248,6 +261,12 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(0, 1)
 
+    def test_darts_beyond_uint32_rejected_before_allocation(self):
+        # the shuffled list alone would take 51 GB
+        message = f"n must be <= 715827882, so that 6n darts fit uint32, got {2**30}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample(2**30, 0)
+
     @pytest.mark.parametrize("seed", [0, 1, -5, 2**63 - 1, 10**30])
     def test_reproduces_random_shuffle(self, seed):
         # the reference is computed at run time, so a change to
@@ -261,7 +280,7 @@ class TestSample:
             for a, b in zip(darts[0::2], darts[1::2]):
                 alpha[a] = b
                 alpha[b] = a
-            assert sample(n, seed).matching == tuple(alpha), n
+            assert tuple(sample(n, seed).matching) == tuple(alpha), n
 
 
 class TestFaces:
@@ -316,23 +335,21 @@ class TestFaces:
         assert repr(bare) == repr(fd)
         assert "label" not in repr(fd) and "matching" not in repr(fd)
 
-    def test_cycle_entries_are_the_matchings_ints(self):
-        # ints above 256 are not cached, so identity holds only if the walk
-        # reuses the matching's objects
-        sampled = sample(2000, derive_seed(67, "shared"))
-        loaded = RibbonGraph.from_json_dict(json.loads(json.dumps(sampled.to_json_dict())))
-        assert loaded == sampled
-        for g in (sampled, loaded):
-            m = g.matching
-            assert all(d is m[m[d]] for cycle in faces(g).faces for d in cycle)
-
     def test_retained_memory_per_dart(self, retained_bytes):
-        # the cycles' tuples and the label list, 8 bytes a dart each; a new
-        # int per cycle entry would add 32
+        # the label list (8 bytes a dart) and the walk's array (4); per-face
+        # tuples of the darts would add 8
         g = sample(10_000, derive_seed(67, "memory"))
         kept, fd = retained_bytes(faces, g)
         assert fd.sum_degrees == g.num_darts
-        assert kept <= 24 * g.num_darts, kept / g.num_darts
+        assert kept <= 13 * g.num_darts, kept / g.num_darts
+
+    def test_peak_memory_per_dart(self, peak_bytes):
+        # what is retained, plus the walk array's growth; a list of the face
+        # being traced, next to its tuple, would add up to 9 bytes a dart
+        g = sample(10_000, derive_seed(67, "memory"))
+        peak, fd = peak_bytes(faces, g)
+        assert fd.sum_degrees == g.num_darts
+        assert peak <= 13 * g.num_darts, peak / g.num_darts
 
     def test_connectivity_peak_memory_per_dart(self, peak_bytes):
         # the union-find reads label through one iterator into a set of the
@@ -340,9 +357,23 @@ class TestFaces:
         # graph keeps small; slices of label would add 16/3 bytes a dart
         g = sample(10_000, derive_seed(67, "memory"))
         fd = faces(g)
-        peak, components = peak_bytes(ribbon._face_components, fd.label, fd.lht)
+        peak, components = peak_bytes(ribbon._face_components, fd.label, fd.lht, ())
         assert components == 1 and fd.connected
         assert peak <= 2 * g.num_darts, peak / g.num_darts
+
+    def test_components_from_face_starts_as_from_every_vertex(self):
+        # the smallest darts' vertices settle most draws; the full scan of
+        # the vertex triples must then give the same count either way
+        counts = []
+        for n in (3, 4, 5, 6, 8, 10, 20, 50, 100, 300, 1000, 2000):
+            for seed in range(10):
+                fd = faces(sample(n, derive_seed(73, n, seed)))
+                firsts = [fd.walk[s] for s in fd.starts[:-1]]
+                count = ribbon._face_components(fd.label, fd.lht, firsts)
+                assert count == ribbon._face_components(fd.label, fd.lht, ()), (n, seed)
+                assert (count == 1) is fd.connected
+                counts.append(count)
+        assert min(counts) == 1 and max(counts) > 1
 
     def test_cycles_anchored_at_minimal_dart(self):
         fd = faces(sample(10, 3))
@@ -389,6 +420,9 @@ class TestFaces:
             offset += 6 * n
         fd = faces(from_matching(sum(sizes), union))
         assert fd.connected is naive_connected(sum(sizes), union) is False
+        firsts = [fd.walk[s] for s in fd.starts[:-1]]
+        count = ribbon._face_components(fd.label, fd.lht, firsts)
+        assert count == ribbon._face_components(fd.label, fd.lht, ()) >= len(sizes)
         assert fd.genus is None
         assert fd.lht == sum(part.lht for part in parts)
 
