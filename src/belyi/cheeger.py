@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .cusps import (
+    SMALL_TRIANGLE_AREA,
     degree_threshold,
     has_large_cusps,
     partition_cusps,
-    small_triangle_area,
     surface_area,
 )
 from .ribbon import FaceDecomposition, RibbonGraph
@@ -82,24 +82,28 @@ class CuspCut:
 class Division:
     """A two-label division of the whole surface.
 
-    ``i1`` is the set of large cusps and ``cuts`` their cut curves, in
-    sorted cusp order.  Side 1 of each cut is A; side 2 and every small
-    cusp (those outside ``i1``) are B; each triangle takes the majority
-    label of its three darts.  ``minority`` is a 6n-byte mask, 1 at each
-    minority dart and 0 elsewhere (left out of ``repr``); the full
-    boundary is those unit segments plus the cut curves.  Its length and
-    ``h_upper`` are read off these parts and both areas on each call.
+    ``cuts`` are the cut curves of the large cusps, in sorted cusp
+    order, one per cusp, so the set ``i1`` of large cusps is read off
+    them.  Side 1 of each cut is A; side 2 and every small cusp (those
+    outside ``i1``) are B; each triangle takes the majority label of its
+    three darts.  ``minority`` is a 6n-byte mask, 1 at each minority
+    dart and 0 elsewhere (left out of ``repr``); the full boundary is
+    those unit segments plus the cut curves.  Its length and ``h_upper``
+    are read off these parts and both areas on each call.
     """
 
-    i1: frozenset[int]
     cuts: tuple[CuspCut, ...]
     minority: bytes = field(repr=False)
     area_a: float
     area_b: float
 
     @property
+    def i1(self) -> frozenset[int]:
+        return frozenset(c.face_id for c in self.cuts)
+
+    @property
     def num_i1(self) -> int:
-        return len(self.i1)
+        return len(self.cuts)
 
     @property
     def boundary_length(self) -> float:
@@ -178,17 +182,15 @@ def cheeger_upper_bound(g: RibbonGraph, fd: FaceDecomposition, n: int) -> Divisi
     for r, side in enumerate((s0, s1, s2)):
         minority[r::3] = (side ^ majority).to_bytes(num_v, "little")
 
-    tri_area = small_triangle_area()
     num_a_triangles = majority.bit_count()
-    area_a = math.fsum(c.side1_area for c in cuts) + tri_area * num_a_triangles
+    area_a = math.fsum(c.side1_area for c in cuts) + SMALL_TRIANGLE_AREA * num_a_triangles
     small_cusp_mass = fd.sum_degrees - sum(fd.degrees[i] for i in i1)  # an exact int
     area_b = (
         math.fsum(c.side2_area for c in cuts)
         + small_cusp_mass
-        + tri_area * (num_v - num_a_triangles)
+        + SMALL_TRIANGLE_AREA * (num_v - num_a_triangles)
     )
     return Division(
-        i1=i1,
         cuts=cuts,
         minority=bytes(minority),
         area_a=area_a,
@@ -226,9 +228,9 @@ def invariant_failures(
     failures: list[str] = []
     if fd.sum_degrees != 6 * n:
         failures.append(f"degree sum {fd.sum_degrees} != 6n")
-    if fd.connected and (fd.genus is None or 2 - 2 * fd.genus != fd.lht - n):
+    if fd.connected and 2 - 2 * fd.genus != fd.lht - n:
         failures.append(f"Euler identity fails: genus={fd.genus}, lht={fd.lht}")
-    area = 2 * n * small_triangle_area() + fd.sum_degrees
+    area = 2 * n * SMALL_TRIANGLE_AREA + fd.sum_degrees
     if not math.isclose(area, surface_area(n), abs_tol=1e-9):
         failures.append("triangle + cusp area != total area")
     if division is None:
@@ -254,7 +256,7 @@ def invariant_failures(
     # bounds the imbalance by the sum of the three terms' absolute values.
     # A cut's sides differ by (d - 2k) + 2k/y, which is not bounded by 1.
     sides = math.fsum(abs(c.side2_area - c.side1_area) for c in division.cuts)
-    allowance = 2 * n * small_triangle_area() + sides + (fd.sum_degrees - mass_i1)
+    allowance = 2 * n * SMALL_TRIANGLE_AREA + sides + (fd.sum_degrees - mass_i1)
     if abs(division.area_a - division.area_b) > allowance + 1e-9:
         failures.append("area imbalance beyond allowance")
     return failures

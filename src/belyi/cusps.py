@@ -25,7 +25,7 @@ from .ribbon import FaceDecomposition, rotation
 
 __all__ = [
     "surface_area",
-    "small_triangle_area",
+    "SMALL_TRIANGLE_AREA",
     "partition_cusps",
     "has_large_cusps",
     "develop_strip",
@@ -39,11 +39,9 @@ def surface_area(n: int) -> float:
     return 2.0 * math.pi * n
 
 
-def small_triangle_area() -> float:
-    """Area of the central region of an ideal triangle bounded by its
-    three unit horocycle segments: pi minus three unit corner strips.
-    """
-    return math.pi - 3.0
+# Area of the central region of an ideal triangle bounded by its three
+# unit horocycle segments: pi minus three unit corner strips.
+SMALL_TRIANGLE_AREA = math.pi - 3.0
 
 
 def exact_l(l) -> Fraction:
@@ -79,15 +77,19 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     canonical horoballs are the Ford circles.  In the width-d_j strip of
     cusp j the length-l horoball of cusp k at a lift p/q has diameter
     l / (d_k q^2), so it misses {y >= d_j/l} iff d_j * d_k * q^2 > l^2.
-    The q = 1 lifts are the other corners of the triangles at cusp j;
-    lifts with q >= 2 are the mediant corners of ``develop_strip``, whose
-    denominators grow with depth, so the descent stops once
-    d_j * q^2 > l^2.  The test is symmetric in j and k (q is fixed by the
-    distance between their canonical horoballs) and a failing pair has a
-    cusp of degree <= l, so only the strips of those cusps are developed;
-    with none, this agrees with the sufficient test ``fd.min_degree > l``
-    (a cusp of degree d > l keeps its depth-l horoball inside the region
-    above its canonical loop; the converse is false).
+    The q = 1 lifts are the other corners of the top-row triangles: the
+    triangle of corner c over [t, t+1] has rotation(c) at t + 1, and the
+    next corner c' has rotation^2(c') = matching[c] there too, one face
+    step before rotation(c).  So each integer lift is read once, as
+    rotation(c).  Lifts with q >= 2 are the mediant corners of
+    ``develop_strip``, whose denominators grow with depth, so the
+    descent stops once d_j * q^2 > l^2.  The test is symmetric in j and
+    k (q is fixed by the distance between their canonical horoballs) and
+    a failing pair has a cusp of degree <= l, so only the strips of those
+    cusps are developed; with none, this agrees with the sufficient test
+    ``fd.min_degree > l`` (a cusp of degree d > l keeps its depth-l
+    horoball inside the region above its canonical loop; the converse is
+    false).
     Exact for rational ``l`` (ints and floats are converted exactly).
     """
     lq = exact_l(l)
@@ -101,9 +103,8 @@ def has_large_cusps(fd: FaceDecomposition, l) -> bool:
     for j in small:
         d_j = degrees[j]
         for c in fd.face(j):
-            # the triangle of corner c has its other corners at the integer
-            # lifts t+1 (dart rotation(c)) and t (dart rotation^2(c))
-            if d_j * min(degree_of(rotation(c)), degree_of(rotation(rotation(c)))) <= l2:
+            # the integer lift t+1 of the triangle of corner c over [t, t+1]
+            if d_j * degree_of(rotation(c)) <= l2:
                 return False
         for a, p, r in develop_strip(fd, j, lambda p, r: d_j * (p[1] + r[1]) ** 2 <= l2):
             q = p[1] + r[1]

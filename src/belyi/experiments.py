@@ -13,7 +13,6 @@ time, whether the trials run in this process or in a pool of workers.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import statistics
 import time
@@ -35,7 +34,6 @@ __all__ = [
     "pool_plan",
     "run_grid",
     "write_csv",
-    "lht_growth_fit",
     "summarize",
 ]
 
@@ -247,31 +245,6 @@ def write_csv(records: Iterable[TrialRecord], path: str | Path) -> None:
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow(rec.csv_row())
-
-
-def lht_growth_fit(records: Sequence[TrialRecord]) -> tuple[float, float]:
-    """Least-squares fit of mean face count against log n.
-
-    Needs at least 3 distinct n values with at least 30 trials each.
-    Returns (intercept, slope).
-    """
-    by_n: dict[int, list[int]] = {}
-    for rec in records:
-        by_n.setdefault(rec.n, []).append(rec.lht)
-    if len(by_n) < 3 or any(len(v) < 30 for v in by_n.values()):
-        raise ValueError(
-            "need >= 3 distinct n values with >= 30 trials each, got "
-            + ", ".join(f"n={n}:{len(v)}" for n, v in sorted(by_n.items()))
-        )
-    xs = [math.log(n) for n in sorted(by_n)]
-    ys = [statistics.fmean(by_n[n]) for n in sorted(by_n)]
-    x_bar = statistics.fmean(xs)
-    y_bar = statistics.fmean(ys)
-    sxx = sum((x - x_bar) ** 2 for x in xs)
-    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = y_bar - slope * x_bar
-    return intercept, slope
 
 
 def summarize(

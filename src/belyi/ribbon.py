@@ -113,20 +113,21 @@ class FaceDecomposition:
     starting from its smallest dart.  ``walk`` is an ``array("I")`` of
     all 6n darts, face after face, and face ``j`` is
     ``walk[starts[j]:starts[j + 1]]`` (``face(j)``); ``starts`` ends
-    with 6n.  ``degrees`` are the orbit lengths.  ``genus`` is defined
-    only for connected graphs.  ``label[d]`` is the 1-based face of dart
-    ``d`` and ``matching`` is the traced graph's matching (the same
-    object, not a copy), so later layers need not rebuild either; both
-    are left out of ``==``, ``hash`` and ``repr``, and ``walk`` out of
-    ``hash``.
+    with 6n.  ``degrees`` are the orbit lengths.  They follow from
+    ``starts`` but are stored: the cusp loops index and enumerate them,
+    and deriving them would rebuild a tuple on each read or need a
+    cache.  ``genus`` is set exactly when the graph is connected, so the
+    face count ``lht`` and ``connected`` are read off ``degrees`` and
+    ``genus``.  ``label[d]`` is the 1-based face of dart ``d`` and
+    ``matching`` is the traced graph's matching (the same object, not a
+    copy), so later layers need not rebuild either; both are left out of
+    ``==``, ``hash`` and ``repr``, and ``walk`` out of ``hash``.
     """
 
     walk: Sequence[int] = field(hash=False)
     starts: tuple[int, ...]
     degrees: tuple[int, ...]
-    lht: int
     genus: int | None
-    connected: bool
     label: list[int] = field(repr=False, compare=False)
     matching: Sequence[int] = field(repr=False, compare=False)
 
@@ -138,6 +139,14 @@ class FaceDecomposition:
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Every face as a tuple, rebuilt from ``walk`` on each call."""
         return tuple(tuple(self.face(j)) for j in range(self.lht))
+
+    @property
+    def lht(self) -> int:
+        return len(self.degrees)
+
+    @property
+    def connected(self) -> bool:
+        return self.genus is not None
 
     @property
     def min_degree(self) -> int:
@@ -304,11 +313,9 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
     walk = array("I")
     append = walk.append
     starts = []
-    firsts = []  # the smallest dart of each face
     start = 0
     while len(walk) < total:
         start = label.index(0, start)  # smallest untraced dart, at C speed
-        firsts.append(start)
         starts.append(len(walk))
         k = len(starts)
         d = start
@@ -320,13 +327,13 @@ def faces(g: RibbonGraph) -> FaceDecomposition:
     starts.append(total)
     degrees = tuple(b - a for a, b in zip(starts, starts[1:]))
     lht = len(degrees)
-    connected = _face_components(label, lht, firsts) == 1
     genus: int | None = None
-    if connected:
+    # each face's smallest dart is its first in the walk
+    if _face_components(label, lht, (walk[i] for i in starts[:-1])) == 1:
         # chi = V - E + F = -n + lht for a cubic graph on 2n vertices
         if (g.n - lht) % 2:
             raise BrokenInvariant(f"n - lht = {g.n - lht} is odd for a connected graph")
         genus = 1 + (g.n - lht) // 2
         if genus < 0:
             raise BrokenInvariant(f"genus {genus} < 0 (n = {g.n}, lht = {lht})")
-    return FaceDecomposition(walk, tuple(starts), degrees, lht, genus, connected, label, m)
+    return FaceDecomposition(walk, tuple(starts), degrees, genus, label, m)

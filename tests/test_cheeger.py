@@ -17,8 +17,9 @@ from belyi.cusps import degree_threshold, partition_cusps, surface_area
 from belyi.ribbon import derive_seed, faces, from_matching, rotation, sample
 
 
-def _largest_cusp_made_small(fd, i1):
-    return i1 - {max(i1, key=fd.degrees.__getitem__)}
+def _largest_cusp_uncut(fd, cuts):
+    largest = max((c.face_id for c in cuts), key=fd.degrees.__getitem__)
+    return tuple(c for c in cuts if c.face_id != largest)
 
 
 def _dart_is_a(fd, n):
@@ -106,7 +107,7 @@ class TestAssignLabels:
             if not fd.connected:
                 continue
             division = cheeger_upper_bound(g, fd, 30)
-            small = set(range(fd.lht)) - division.i1
+            small = set(range(fd.lht)) - partition_cusps(fd, 30)
             assert not small & {c.face_id for c in division.cuts}
             for j in small:
                 message = f"cusp {j} has degree {fd.degrees[j]} <= threshold {degree_threshold(30)}"
@@ -373,7 +374,7 @@ class TestInvariantFailures:
                 "more than one boundary dart",
             ),
             (
-                lambda fd, d, n: {"i1": _largest_cusp_made_small(fd, d.i1)},
+                lambda fd, d, n: {"cuts": _largest_cusp_uncut(fd, d.cuts)},
                 "large-cusp degree mass below its floor",
             ),
             (

@@ -28,7 +28,13 @@ class TestSample:
         data = json.loads(out)
         assert data["n"] == 1
         assert len(data["matching"]) == 3
-        assert "lht=" in err and "genus=" in err
+        assert err == "lht=1 genus=1 connected=true degrees=[6]\n"
+
+    def test_stderr_line_of_a_disconnected_draw(self, capsys):
+        # the draw that cheeger rejects as disconnected
+        code, _, err = run_cli(capsys, "sample", "--n", "3", "--seed", "0")
+        assert code == 0
+        assert err == "lht=5 genus=None connected=false degrees=[1, 1, 1, 4, 11]\n"
 
     def test_invalid_n_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--n", "0")

@@ -10,10 +10,10 @@ from scipy.integrate import quad
 
 from belyi.cheeger import cheeger_upper_bound
 from belyi.cusps import (
+    SMALL_TRIANGLE_AREA,
     degree_threshold,
     has_large_cusps,
     partition_cusps,
-    small_triangle_area,
     surface_area,
 )
 from belyi.ribbon import RibbonGraph, derive_seed, faces, from_matching, sample
@@ -50,8 +50,8 @@ class TestAreas:
         assert surface_area(10) == pytest.approx(20 * math.pi, abs=1e-15)
 
     def test_small_triangle_value(self):
-        assert small_triangle_area() == pytest.approx(0.14159265358979312, abs=1e-15)
-        assert small_triangle_area() > 0
+        assert SMALL_TRIANGLE_AREA == pytest.approx(0.14159265358979312, abs=1e-15)
+        assert SMALL_TRIANGLE_AREA > 0
 
     def test_small_triangle_against_integration(self):
         # the central region of the ideal triangle with vertices 0, 1, oo,
@@ -61,12 +61,12 @@ class TestAreas:
             y_low = 0.5 + math.sqrt(max(0.25 - x * x, 0.0))
             return 1.0 / y_low - 1.0
         value, err = quad(column, 0, 0.5, epsabs=1e-12)
-        assert 2 * value == pytest.approx(small_triangle_area(), abs=1e-7)
+        assert 2 * value == pytest.approx(SMALL_TRIANGLE_AREA, abs=1e-7)
 
     def test_decomposition_identity_on_samples(self):
         for n, seed in [(1, 0), (10, 1), (200, 2)]:
             fd = faces(sample(n, seed))
-            total = 2 * n * small_triangle_area() + fd.sum_degrees
+            total = 2 * n * SMALL_TRIANGLE_AREA + fd.sum_degrees
             assert total == pytest.approx(surface_area(n), abs=1e-9)
 
 
@@ -82,9 +82,7 @@ class TestPartition:
             walk=(0,) * 250,  # only degrees matter here
             starts=(0, 200, 250),
             degrees=(200, 50),
-            lht=2,
             genus=None,
-            connected=False,
             label=(),
             matching=(),
         )
@@ -110,11 +108,11 @@ class TestPartition:
         threshold = degree_threshold(n)
         low = int(threshold)
         for d in (low, low + 1, low + 10, 6 * n):
-            fd = FaceDecomposition((0,) * d, (0, d), (d,), 1, None, False, (), ())
+            fd = FaceDecomposition((0,) * d, (0, d), (d,), None, (), ())
             if d > threshold:
                 assert partition_cusps(fd, n) == {0}
         # strictly above is required
-        fd = FaceDecomposition((0,) * low, (0, low), (low,), 1, None, False, (), ())
+        fd = FaceDecomposition((0,) * low, (0, low), (low,), None, (), ())
         assert 0 not in partition_cusps(fd, n)
 
     def test_n_too_small(self):

@@ -17,7 +17,6 @@ from belyi.cli import main
 from belyi.experiments import (
     CSV_COLUMNS,
     TrialRecord,
-    lht_growth_fit,
     pool_plan,
     run_grid,
     run_trial,
@@ -128,7 +127,7 @@ class TestRunTrial:
             monkeypatch.setattr(
                 experiments,
                 "faces",
-                lambda g: dataclasses.replace(traced(g), connected=False, genus=None),
+                lambda g: dataclasses.replace(traced(g), genus=None),
             )
         rec = run_trial(10, 12345, 0, s2_l=4)
         assert rec.status == status
@@ -282,39 +281,6 @@ class TestPoolPlan:
     def test_rejects_below_one(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             pool_plan(workers, 10)
-
-
-class TestLhtGrowthFit:
-    def test_constant_records_give_zero_slope(self):
-        records = [synthetic_record(n, 7) for n in (10, 100, 1000) for _ in range(30)]
-        intercept, slope = lht_growth_fit(records)
-        assert slope == pytest.approx(0.0, abs=1e-12)
-        assert intercept == pytest.approx(7.0, abs=1e-12)
-
-    def test_exact_log_growth_recovered(self):
-        records = [
-            synthetic_record(n, lht)
-            for n in (10, 100, 1000)
-            for lht in [round(2 * math.log(n))] * 30
-        ]
-        _, slope = lht_growth_fit(records)
-        # integer rounding of the synthetic lht values shifts the fit slightly
-        assert slope == pytest.approx(2.0, abs=0.1)
-
-    def test_two_n_values_insufficient(self):
-        records = [synthetic_record(n, 5) for n in (10, 100) for _ in range(30)]
-        message = r"^need >= 3 distinct n values with >= 30 trials each, got n=10:30, n=100:30$"
-        with pytest.raises(ValueError, match=message):
-            lht_growth_fit(records)
-
-    def test_too_few_trials_insufficient(self):
-        records = [synthetic_record(n, 5) for n in (10, 100, 1000) for _ in range(10)]
-        message = (
-            r"^need >= 3 distinct n values with >= 30 trials each, "
-            r"got n=10:10, n=100:10, n=1000:10$"
-        )
-        with pytest.raises(ValueError, match=message):
-            lht_growth_fit(records)
 
 
 class TestSummarize:

@@ -326,6 +326,11 @@ class TestFaces:
                 assert len(fd.label) == g.num_darts
                 for i, cycle in enumerate(fd.faces):
                     assert all(fd.label[d] - 1 == i for d in cycle)
+                # one face step takes matching[d] to rotation(d)
+                assert all(
+                    fd.label[rotation(d)] == fd.label[g.matching[d]]
+                    for d in range(g.num_darts)
+                )
 
     def test_kept_fields_outside_equality_and_repr(self):
         fd = faces(sample(10, 1))
