@@ -210,6 +210,8 @@ def in_f_star(fd: FaceDecomposition, epsilon_l: float, c: float, n: int) -> bool
     """
     if not c > 0:  # also rejects NaN
         raise ValueError(f"c must be positive, got {c}")
+    if c == math.inf:
+        raise ValueError(f"c must be finite, got {c}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     # has_large_cusps first, so that it rejects epsilon_l <= 0 on every call

@@ -22,11 +22,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .cheeger import EmptyI1, cheeger_upper_bound, invariant_failures
 from .farey import _capped_l, classify_segments
-from .ribbon import BrokenInvariant, derive_seed, faces, sample
+from .ribbon import BrokenInvariant, _check_n, derive_seed, faces, sample
 
 __all__ = [
     "SCHEMA_VERSION",
-    "DEFAULT_H_THRESHOLD",
+    "H_THRESHOLD",
     "CSV_COLUMNS",
     "TrialRecord",
     "SummaryStats",
@@ -40,7 +40,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # the paper's bound 2/3 + epsilon at epsilon = 0.05
-DEFAULT_H_THRESHOLD = 2.0 / 3.0 + 0.05
+H_THRESHOLD = 2.0 / 3.0 + 0.05
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -220,6 +220,7 @@ def run_grid(
     for i, n in enumerate(n_values):
         if n < 3:
             raise ValueError(f"grid n values must be >= 3, got {n}")
+        _check_n(n)  # and <= MAX_N, before any trial runs or the directory is made
         if n in n_values[:i]:
             raise ValueError(f"grid n values must be distinct, got {n} twice")
     if s2_l is not None:
@@ -247,18 +248,17 @@ def write_csv(records: Iterable[TrialRecord], path: str | Path) -> None:
             writer.writerow(rec.csv_row())
 
 
-def summarize(
-    records: Sequence[TrialRecord], n: int, h_threshold: float = DEFAULT_H_THRESHOLD
-) -> SummaryStats:
-    """Aggregate of the rows at ``n``; ``fraction_h_below`` is taken over
-    the usable rows, those with an ``h_upper``, and is None without one."""
+def summarize(records: Sequence[TrialRecord], n: int) -> SummaryStats:
+    """Aggregate of the rows at ``n``; ``fraction_h_below`` is the share
+    of the usable rows, those with an ``h_upper``, below ``H_THRESHOLD``,
+    and is None without one."""
     rows = [rec for rec in records if rec.n == n]
     if not rows:
         raise ValueError(f"no records at n={n}")
     usable = [rec for rec in rows if rec.h_upper is not None]
     lhts = [rec.lht for rec in rows]
     fraction = (
-        sum(rec.h_upper < h_threshold for rec in usable) / len(usable) if usable else None
+        sum(rec.h_upper < H_THRESHOLD for rec in usable) / len(usable) if usable else None
     )
     return SummaryStats(
         n=n,
@@ -267,6 +267,6 @@ def summarize(
         excluded=len(rows) - len(usable),
         mean_lht=statistics.fmean(lhts),
         var_lht=float(statistics.pvariance(lhts)),
-        h_threshold=h_threshold,
+        h_threshold=H_THRESHOLD,
         fraction_h_below=fraction,
     )

@@ -14,11 +14,15 @@ e^(-3/2) ~ 0.22, far below the floor.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import statistics
 
+import numpy as np
 import pytest
+from scipy.special import loggamma
+from scipy.stats import chi2
 
 from belyi.cheeger import cheeger_upper_bound, in_f_star
 from belyi.cli import main as cli_main
@@ -146,17 +150,15 @@ def cheeger_records():
 
 
 def test_criterion_4_cheeger_bound_statistics(cheeger_records):
-    threshold = 2 / 3 + 0.05
     records = cheeger_records
-    small = [r for r in records if r.n == 1000]
-    large = [r for r in records if r.n == 100000]
-    fraction = summarize(records, 100000, threshold).fraction_h_below
-    median_small = statistics.median(r.h_upper for r in small if r.h_upper is not None)
-    median_large = statistics.median(r.h_upper for r in large if r.h_upper is not None)
-    trend_ok = (
-        summarize(records, 1000, 0.75).fraction_h_below
-        <= summarize(records, 100000, 0.75).fraction_h_below
-    )
+    small = [r.h_upper for r in records if r.n == 1000 and r.h_upper is not None]
+    large = [r.h_upper for r in records if r.n == 100000 and r.h_upper is not None]
+    # the share below 2/3 + 0.05, over the usable rows
+    fraction = summarize(records, 100000).fraction_h_below
+    median_small = statistics.median(small)
+    median_large = statistics.median(large)
+    share_small, share_large = (sum(h < 0.75 for h in hs) / len(hs) for hs in (small, large))
+    trend_ok = share_small <= share_large
     ok = fraction >= 0.9 and median_large < median_small and trend_ok
     assert report(
         4,
@@ -202,6 +204,78 @@ def test_criteria_3_4_predicted_cusp_counts(growth_records, cheeger_records):
         f"mean num_i1 within 5 standard errors of H_6n - H_T, and P(min_d = 1), "
         f"P(min_d >= 3) within 5 binomial standard errors of 1 - 1/e and e^(-3/2), "
         f"on criterion 3's and criterion 4's grids (largest |z| {worst:.2f})",
+    )
+
+
+def cycle_count_law(big_n: int) -> np.ndarray:
+    """P(a uniform permutation of big_n has k cycles), for k = 0..126.
+
+    The count is a sum of independent Bernoulli(1/i), i = 1..big_n, with
+    generating function x (x + 1) ... (x + big_n - 1) / big_n! =
+    Gamma(x + big_n) / (Gamma(x) big_n!).  Its coefficients are read off
+    127 points of the unit circle by a discrete Fourier transform; the
+    mass at 127 cycles or more, which would fold back, is below 1e-70 for
+    big_n <= 6e5.
+    """
+    z = np.exp(2j * np.pi * np.arange(127) / 127)
+    values = np.exp(loggamma(z + big_n) - loggamma(z) - loggamma(big_n + 1.0))
+    return np.fft.fft(values).real / 127
+
+
+def test_criteria_3_4_face_count_law(growth_records, cheeger_records):
+    # Under the limit of criterion 3, lht takes the value k with
+    # probability 2 P_6n(k) for k = n (mod 2), and never otherwise: a
+    # permutation of 6n darts with k cycles has sign (-1)^k, and Euler's
+    # formula fixes lht = n (mod 2).  P_N is cycle_count_law(N).  At most
+    # one cycle is longer than N/2, so P(max_d <= 3n) = 1 - (H_6n - H_3n)
+    # exactly for a uniform permutation, tending to 1 - ln 2.  The
+    # tolerances were fixed before the test was first run: chi-square,
+    # with bins pooled to an expected count of at least 5, below its 99.9%
+    # critical value, and the max_d share within 5 binomial standard errors.
+    dp = np.zeros(127)
+    dp[0] = 1.0
+    for i in range(1, 601):  # the Bernoulli sum's own recursion at N = 600
+        dp[1:] = dp[1:] * (1 - 1 / i) + dp[:-1] / i
+        dp[0] *= 1 - 1 / i
+    assert np.max(np.abs(cycle_count_law(600) - dp)) < 1e-12
+
+    worst_chi2_share, worst_z, points = 0.0, 0.0, 0
+    for grid in (growth_records, cheeger_records):
+        for n in sorted({r.n for r in grid}):
+            records = [r for r in grid if r.n == n]
+            count, law = len(records), cycle_count_law(6 * n)
+            # bins of k = n (mod 2), closed once their expected count reaches
+            # 5; what is left, the tail included, joins the last bin
+            uppers, expected, pending = [], [], 0.0
+            for k in range(2 - n % 2, len(law), 2):
+                pending += 2 * law[k] * count
+                if pending >= 5:
+                    uppers.append(k)
+                    expected.append(pending)
+                    pending = 0.0
+            expected[-1] = count - sum(expected[:-1])
+            observed = [0] * len(uppers)
+            for r in records:
+                observed[min(bisect.bisect_left(uppers, r.lht), len(uppers) - 1)] += 1
+            stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+            critical = chi2.ppf(0.999, df=len(uppers) - 1)
+            assert stat < critical, (n, stat, len(uppers) - 1)
+
+            half = 3 * n
+            p = 1 - math.fsum(1 / k for k in range(half + 1, 2 * half + 1))
+            share = sum(r.max_degree <= half for r in records) / count
+            z = (share - p) / math.sqrt(p * (1 - p) / count)
+            assert abs(z) <= 5, (n, share, p, z)
+            worst_chi2_share = max(worst_chi2_share, stat / critical)
+            worst_z = max(worst_z, abs(z))
+            points += 1
+    assert report(
+        3,
+        True,
+        f"lht follows the coset law 2 P_6n(k), k = n (mod 2), by chi-square below its "
+        f"99.9% point (largest share of it {worst_chi2_share:.2f}), and P(max_d <= 3n) is "
+        f"within 5 binomial standard errors of 1 - (H_6n - H_3n) (largest |z| "
+        f"{worst_z:.2f}), at the {points} grid points of criteria 3 and 4",
     )
 
 

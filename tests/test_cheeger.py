@@ -270,9 +270,15 @@ class TestInFStar:
 
     def test_c_not_positive(self):
         fd = faces(from_matching(1, [(0, 3), (1, 4), (2, 5)]))
-        for c in (0, -1.0, math.nan):
+        for c in (0, -1.0, math.nan, -math.inf):
             with pytest.raises(ValueError, match=rf"^c must be positive, got {c}$"):
                 in_f_star(fd, 2, c, 100)
+
+    def test_c_infinite(self):
+        # c * log n would be inf, so every face count would pass the cap
+        fd = faces(sample(100, 1))
+        with pytest.raises(ValueError, match=r"^c must be finite, got inf$"):
+            in_f_star(fd, 2, math.inf, 100)
 
 
 class TestDegreeMassBound:

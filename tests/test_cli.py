@@ -448,6 +448,20 @@ class TestGrid:
             tmp_path / "serial" / "summary.json"
         ).read_bytes()
 
+    def test_n_above_max_exits_2_before_running(self, capsys, tmp_path):
+        # 6n darts must fit uint32: the n = 50 trial does not run, and no
+        # directory is made
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            capsys, "grid", "--n-list", "50,800000000", "--trials", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: n must be <= 715827882, so that 6n darts fit uint32, got 800000000\n"
+        )
+        assert not out_dir.exists()
+
     def test_repeated_n_exits_2_before_running(self, capsys, tmp_path):
         out_dir = tmp_path / "d"
         code, out, err = run_cli(
@@ -553,9 +567,8 @@ class TestNonFiniteNumbers:
             ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--s2-l"),
             ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--workers"),
             ("farey", "--l"),
-            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--threshold"),
         ],
-        ids=["argv0", "argv1", "argv2", "argv3", "argv4"],
+        ids=["argv0", "argv1", "argv2", "argv3"],
     )
     def test_rejected_while_parsing(self, capsys, tmp_path, argv, value):
         out_dir = tmp_path / "d"
@@ -586,6 +599,25 @@ class TestRemovedOptions:
         assert code == 2
         assert out == ""
         assert "--y-factor" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--threshold", "0.7"),
+            ("verify", "--seeds", "1", "--n", "10", "--seed", "1"),
+        ],
+        ids=["grid-threshold", "verify-seed"],
+    )
+    def test_option_without_caller_rejected(self, capsys, tmp_path, argv):
+        # summary.json reports the share below the paper's 2/3 + 0.05, and
+        # verify draws from fixed seed streams: each option is unknown
+        out_dir = tmp_path / "d"
+        argv = [a.format(out=out_dir) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
         assert not out_dir.exists()
 
     def test_connected_rejected(self, capsys, tmp_path):

@@ -23,7 +23,7 @@ from belyi.experiments import (
     summarize,
     write_csv,
 )
-from belyi.ribbon import BrokenInvariant, FaceDecomposition, faces, sample
+from belyi.ribbon import MAX_N, BrokenInvariant, FaceDecomposition, faces, sample
 
 
 def read_rows(path):
@@ -251,6 +251,18 @@ class TestRunGrid:
             run_grid([10], 2, 0, out_path=tmp_path / "f" / "trials.csv", workers=1)
         assert calls == []
 
+    def test_n_above_max_fails_before_first_trial(self, tmp_path, monkeypatch):
+        # 6n darts must fit uint32: an n above MAX_N is refused before the
+        # trials at the smaller n run and before the directory is made
+        calls = []
+        monkeypatch.setattr(experiments, "run_trial", lambda *args: calls.append(args))
+        out_path = tmp_path / "d" / "trials.csv"
+        message = f"n must be <= {MAX_N}, so that 6n darts fit uint32, got 800000000"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_grid([50, 800_000_000], 1, 0, out_path=out_path, workers=1)
+        assert calls == []
+        assert not out_path.parent.exists()
+
 
 class TestPoolPlan:
     """``pool_plan`` is pure: these cases start no process."""
@@ -290,7 +302,7 @@ class TestSummarize:
             area_a=None, area_b=None, h_upper=None,
         )
         records = [synthetic_record(10, lht) for lht in (4, 6)] + [failed]
-        stats = summarize(records, 10, h_threshold=1.0)
+        stats = summarize(records, 10)
         assert stats.trials == 3
         assert stats.usable == 2
         assert stats.mean_lht == pytest.approx(5.0)

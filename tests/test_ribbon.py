@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import random
 import re
 
@@ -62,6 +63,25 @@ def naive_face_orbits(n: int, pairs: list[tuple[int, int]]) -> list[tuple[int, .
         remaining -= set(cyc)
         orbits.append(tuple(cyc))
     return orbits
+
+
+def pairing_counts(v: int) -> tuple[int, int]:
+    """(all, connected) pairings of the 3v darts of v cubic vertices, v even.
+
+    There are M(v) = (3v - 1)!! pairings.  Counted by the size k of vertex
+    0's component, which is even, the connected ones number
+    C(v) = M(v) - sum over even 2 <= k < v of binom(v - 1, k - 1) C(k) M(v - k).
+    """
+
+    def pairings(w: int) -> int:
+        return math.prod(range(3 * w - 1, 0, -2))
+
+    connected: dict[int, int] = {}
+    for w in range(2, v + 1, 2):
+        connected[w] = pairings(w) - sum(
+            math.comb(w - 1, k - 1) * connected[k] * pairings(w - k) for k in range(2, w, 2)
+        )
+    return pairings(v), connected[v]
 
 
 GOLDEN_N, GOLDEN_SEED = 100_000, 2024
@@ -387,16 +407,35 @@ class TestFaces:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_orbit_oracle_exhaustive(self, n):
-        outcomes = set()
+        matchings = disconnected = 0
         for m in all_matchings(list(range(6 * n))):
             pairs = [tuple(sorted(p)) for p in m]
             fd = faces(from_matching(n, pairs))
             oracle = naive_face_orbits(n, pairs)
             assert sorted(fd.faces) == sorted(oracle)
             assert fd.connected == naive_connected(n, pairs)
-            outcomes.add(fd.connected)
-        # every n = 1 graph is connected; n = 2 has two disjoint theta graphs
-        assert outcomes == ({True} if n == 1 else {True, False})
+            matchings += 1
+            disconnected += not fd.connected
+        # every n = 1 graph is connected; at n = 2, 675 of the 10,395
+        # matchings are two disjoint theta graphs
+        total, connected = pairing_counts(2 * n)
+        assert (matchings, disconnected) == (total, total - connected)
+        assert disconnected == {1: 0, 2: 675}[n]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_disconnected_share_matches_exact_law(self, n):
+        # 4,000 draws on their own seed stream, within 5 binomial standard
+        # errors of 1 - C(2n)/M(2n); the tolerance was fixed before the test
+        # was first run
+        total, connected = pairing_counts(2 * n)
+        p = 1 - connected / total
+        draws = 4000
+        disconnected = sum(
+            not faces(sample(n, derive_seed(79, "disconnected", n, t))).connected
+            for t in range(draws)
+        )
+        z = (disconnected / draws - p) / math.sqrt(p * (1 - p) / draws)
+        assert abs(z) <= 5, (n, p, disconnected, z)
 
     def test_orbit_oracle_sampled(self):
         outcomes = set()
