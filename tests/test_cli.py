@@ -567,8 +567,11 @@ class TestNonFiniteNumbers:
             ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--s2-l"),
             ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--workers"),
             ("farey", "--l"),
+            # --threshold is an unknown option, so every value is refused
+            # while parsing, before the output directory is made
+            ("grid", "--n-list", "10", "--trials", "1", "--out", "{out}", "--threshold"),
         ],
-        ids=["argv0", "argv1", "argv2", "argv3"],
+        ids=["argv0", "argv1", "argv2", "argv3", "argv4"],
     )
     def test_rejected_while_parsing(self, capsys, tmp_path, argv, value):
         out_dir = tmp_path / "d"
