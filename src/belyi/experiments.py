@@ -218,9 +218,9 @@ def run_grid(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     for i, n in enumerate(n_values):
+        _check_n(n)  # an int in [1, MAX_N], before any trial runs or the directory is made
         if n < 3:
             raise ValueError(f"grid n values must be >= 3, got {n}")
-        _check_n(n)  # and <= MAX_N, before any trial runs or the directory is made
         if n in n_values[:i]:
             raise ValueError(f"grid n values must be distinct, got {n} twice")
     if s2_l is not None:

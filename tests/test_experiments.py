@@ -6,6 +6,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -260,6 +261,17 @@ class TestRunGrid:
         message = f"n must be <= {MAX_N}, so that 6n darts fit uint32, got 800000000"
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_grid([50, 800_000_000], 1, 0, out_path=out_path, workers=1)
+        assert calls == []
+        assert not out_path.parent.exists()
+
+    @pytest.mark.parametrize("n", [1000.0, "1000"], ids=["float", "string"])
+    def test_n_not_an_int_fails_before_first_trial(self, tmp_path, monkeypatch, n):
+        calls = []
+        monkeypatch.setattr(experiments, "run_trial", lambda *args: calls.append(args))
+        out_path = tmp_path / "d" / "trials.csv"
+        message = f"n must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_grid([50, n], 1, 0, out_path=out_path, workers=1)
         assert calls == []
         assert not out_path.parent.exists()
 

@@ -239,15 +239,33 @@ class TestFromMatching:
         assert from_matching(4, g.to_json_dict()["matching"]) == g
 
 
+def shuffled_matching(n: int, seed: int) -> tuple[int, ...]:
+    """The matching that pairs neighbours of ``random.Random(seed).shuffle``
+    applied to the darts ``0 .. 6n-1``: ``sample``'s seed contract."""
+    darts = list(range(6 * n))
+    random.Random(seed).shuffle(darts)
+    alpha = [0] * (6 * n)
+    for a, b in zip(darts[0::2], darts[1::2]):
+        alpha[a] = b
+        alpha[b] = a
+    return tuple(alpha)
+
+
 class TestSample:
-    def test_peak_memory_per_dart(self, peak_bytes):
-        # the shuffled list (8 bytes a dart), one int per dart (32) and the
-        # matching's array (4); a temporary bytes to build the array from
-        # would add 4, and half-size slices 8
-        n = 10_000
+    @pytest.mark.parametrize(
+        "n, bound",
+        [(10_000, 45), (ribbon._ARRAY_SHUFFLE_MIN_N, 9)],
+        ids=["list", "array"],
+    )
+    def test_peak_memory_per_dart(self, peak_bytes, n, bound):
+        # below _ARRAY_SHUFFLE_MIN_N: the shuffled list (8 bytes a dart), one
+        # int per dart (32) and the matching's array (4); from it on, the
+        # shuffled array (4) and the matching's (4).  Either bound fails if
+        # a temporary bytes builds an array (4) or the buffer is paired
+        # through half-size slices (8 for the list, 4 for the array)
         peak, g = peak_bytes(sample, n, derive_seed(67, "memory"))
         assert g.num_darts == 6 * n
-        assert peak <= 45 * g.num_darts, peak / g.num_darts
+        assert peak <= bound * g.num_darts, peak / g.num_darts
 
     def test_retained_memory_per_dart(self, retained_bytes):
         # the matching's array, 4 bytes a dart; the shuffled list and its
@@ -281,8 +299,13 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(0, 1)
 
+    @pytest.mark.parametrize("n", [True, 1000.0], ids=["bool-n", "integral-float-n"])
+    def test_n_not_an_int_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            sample(n, 0)
+
     def test_darts_beyond_uint32_rejected_before_allocation(self):
-        # the shuffled list alone would take 51 GB
+        # the shuffled array alone would take 26 GB
         message = f"n must be <= 715827882, so that 6n darts fit uint32, got {2**30}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             sample(2**30, 0)
@@ -294,13 +317,15 @@ class TestSample:
         # silently changing graphs; 6n = 4092, 4098, 8190, ... sit just
         # below or above a power of two, where the draw width changes
         for n in [*range(1, 201), 682, 683, 1365, 2731, 5461, 10923]:
-            darts = list(range(6 * n))
-            random.Random(seed).shuffle(darts)
-            alpha = [0] * (6 * n)
-            for a, b in zip(darts[0::2], darts[1::2]):
-                alpha[a] = b
-                alpha[b] = a
-            assert tuple(sample(n, seed).matching) == tuple(alpha), n
+            assert tuple(sample(n, seed).matching) == shuffled_matching(n, seed), n
+
+    @pytest.mark.parametrize("seed", [1, 2**63 - 1])
+    @pytest.mark.parametrize(
+        "n", [ribbon._ARRAY_SHUFFLE_MIN_N - 1, ribbon._ARRAY_SHUFFLE_MIN_N], ids=["list", "array"]
+    )
+    def test_reproduces_random_shuffle_on_both_buffers(self, n, seed):
+        # the last n shuffled in a list and the first shuffled in an array
+        assert tuple(sample(n, seed).matching) == shuffled_matching(n, seed)
 
 
 class TestFaces:
