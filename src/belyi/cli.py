@@ -116,17 +116,16 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_cheeger(args) -> int:
-    seed = None
-    if args.graph:
+    given = (args.graph is not None, args.n is not None, args.seed is not None)
+    if given not in ((True, False, False), (False, True, True)):
+        return _fail("either --graph or both --n and --seed are required")
+    if args.graph is None:
+        g = ribbon.sample(args.n, args.seed)
+    else:
         try:
             g = _load_graph(args.graph)
         except (OSError, ValueError) as exc:
             return _fail(f"cannot read graph: {exc}")
-    else:
-        if args.n is None or args.seed is None:
-            return _fail("either --graph or both --n and --seed are required")
-        g = ribbon.sample(args.n, args.seed)
-        seed = args.seed
     fd = ribbon.faces(g)
     division = cheeger_mod.cheeger_upper_bound(g, fd, g.n)
     failures = cheeger_mod.invariant_failures(g, fd, division)
@@ -136,7 +135,7 @@ def _cmd_cheeger(args) -> int:
         _dump_json(
             {
                 "n": g.n,
-                "seed": seed,
+                "seed": args.seed,  # None for --graph
                 "lht": fd.lht,
                 "genus": fd.genus,
                 "num_i1": division.num_i1,

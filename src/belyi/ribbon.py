@@ -227,6 +227,8 @@ def sample(n: int, seed: int) -> RibbonGraph:
     Contract: the darts ``0 .. 6n-1`` are shuffled exactly as
     ``random.Random(seed).shuffle`` shuffles them, call for call, and
     neighbours are paired: positions (0, 1), (2, 3), ... are the edges.
+    ``Random`` seeds from ``abs(seed)``, so ``-s`` and ``s`` give the
+    same graph.
     The shuffle's loop is written out to save a Python call per dart:
     position ``i``, from the last down to 1, draws ``getrandbits(k)``
     with ``k = (i + 1).bit_length()`` until the draw is at most ``i``,

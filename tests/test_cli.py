@@ -167,22 +167,28 @@ class TestCheeger:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "text",
+        "text, stdin",
         [
-            '{"matching": []}',
-            '{"n": 4}',
-            json.dumps([1, [[0, 3], [1, 4], [2, 5]]]),
-            json.dumps({"n": 1, "matching": [[0, 0], [1, 4], [2, 5]]}),
-            "not json",
-            None,
+            ('{"matching": []}', False),
+            ('{"n": 4}', False),
+            (json.dumps([1, [[0, 3], [1, 4], [2, 5]]]), False),
+            (json.dumps({"n": 1, "matching": [[0, 0], [1, 4], [2, 5]]}), False),
+            ("not json", False),
+            (None, False),
+            ('{"n": 4}', True),
         ],
-        ids=["no-n", "no-matching", "list", "self-paired", "not-json", "missing-file"],
+        ids=[
+            "no-n", "no-matching", "list", "self-paired", "not-json", "missing-file",
+            "no-matching-stdin",
+        ],
     )
-    def test_unreadable_graph_exits_2(self, capsys, tmp_path, text):
+    def test_unreadable_graph_exits_2(self, capsys, tmp_path, monkeypatch, text, stdin):
         path = tmp_path / "g.json"
-        if text is not None:
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        elif text is not None:
             path.write_text(text)
-        code, out, err = run_cli(capsys, "cheeger", "--graph", str(path))
+        code, out, err = run_cli(capsys, "cheeger", "--graph", "-" if stdin else str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot read graph: ")
@@ -190,6 +196,19 @@ class TestCheeger:
     def test_neither_graph_nor_sample_exits_2(self, capsys):
         for argv in ((), ("--n", "10"), ("--seed", "1")):
             code, out, err = run_cli(capsys, "cheeger", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: either --graph or both --n and --seed are required\n"
+
+    def test_graph_with_n_or_seed_exits_2_before_reading(self, capsys, monkeypatch):
+        # were the graph read, its own n would be printed and the given
+        # --n and --seed ignored
+        def no_read(source):
+            raise AssertionError(f"{source} was read")
+
+        monkeypatch.setattr(cli, "_load_graph", no_read)
+        for extra in (("--n", "9", "--seed", "7"), ("--n", "9"), ("--seed", "7")):
+            code, out, err = run_cli(capsys, "cheeger", "--graph", "g.json", *extra)
             assert code == 2
             assert out == ""
             assert err == "error: either --graph or both --n and --seed are required\n"
@@ -397,6 +416,29 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seeds", "50", "--n", "3")
         assert code == 0
         assert out == "suite identities: ok\nsuite farey: ok\nsuite division: ok\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("farey", "--l", "4", "--level", "3"),
+            "0b64f70b05db4c15866a8b40e2840cad2ad1539ef330f773a25082e06ec1accf",
+        ),
+        (
+            ("verify", "--suite", "all", "--seeds", "20", "--n", "50"),
+            "d3968771d0c9f36a24a7096b6e1f6298c5efb52729a43e5fa5a9dbd9f47e9489",
+        ),
+    ],
+    ids=["farey", "verify"],
+)
+def test_golden_stdout(capsys, argv, digest):
+    # sha256 of the exact stdout bytes, trailing newline included; with
+    # TestCheeger::test_golden_stdout, a run under python -O checks that
+    # no output depends on the optimisation flag
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGrid:

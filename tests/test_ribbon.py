@@ -310,7 +310,7 @@ class TestSample:
         with pytest.raises(ValueError, match=f"^{message}$"):
             sample(2**30, 0)
 
-    @pytest.mark.parametrize("seed", [0, 1, -5, 2**63 - 1, 10**30])
+    @pytest.mark.parametrize("seed", [0, 1, -5, 2**63 - 1, 10**30, -(2**63 - 1)])
     def test_reproduces_random_shuffle(self, seed):
         # the reference is computed at run time, so a change to
         # Random.shuffle in a future CPython fails here instead of
@@ -318,6 +318,10 @@ class TestSample:
         # below or above a power of two, where the draw width changes
         for n in [*range(1, 201), 682, 683, 1365, 2731, 5461, 10923]:
             assert tuple(sample(n, seed).matching) == shuffled_matching(n, seed), n
+
+    def test_negative_seed_aliases_its_absolute_value(self):
+        # random.Random seeds from |seed|, and the seed contract keeps that
+        assert sample(50, -5) == sample(50, 5)
 
     @pytest.mark.parametrize("seed", [1, 2**63 - 1])
     @pytest.mark.parametrize(
