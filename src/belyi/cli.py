@@ -72,10 +72,10 @@ def _gc_paused():
     """Pause the cyclic garbage collector, then restore its previous state.
 
     Graph JSON holds 3n pair lists of ints, which can never be part of a
-    reference cycle; with the collector on, building them (in
-    ``json.load`` or ``to_json_dict``) triggers about 430 collections at
-    n = 1e5.  Callers free the lists inside the block, so that no
-    collection ever scans them.
+    reference cycle; with the collector on, building them triggers about
+    430 collections at n = 1e5 in ``to_json_dict``, and 320 when
+    ``from_json_dict`` parses them a slice at a time.  Callers free the
+    lists inside the block, so that no collection ever scans them.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -89,12 +89,12 @@ def _gc_paused():
 def _load_graph(source: str) -> ribbon.RibbonGraph:
     with _gc_paused():
         if source == "-":
-            data = json.load(sys.stdin)
+            data = json.load(sys.stdin, cls=ribbon.GraphDecoder)
         else:
             with open(source) as fh:
-                data = json.load(fh)
+                data = json.load(fh, cls=ribbon.GraphDecoder)
         g = ribbon.RibbonGraph.from_json_dict(data)
-        del data  # free the pair lists before the collector resumes
+        del data  # free the text, or json's pair lists, before the collector resumes
     return g
 
 
@@ -124,7 +124,7 @@ def _cmd_cheeger(args) -> int:
     else:
         try:
             g = _load_graph(args.graph)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # json recurses per nesting level
             return _fail(f"cannot read graph: {exc}")
     fd = ribbon.faces(g)
     division = cheeger_mod.cheeger_upper_bound(g, fd, g.n)

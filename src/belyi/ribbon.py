@@ -19,13 +19,17 @@ every triangle carries three segments, degrees always sum to ``6n``.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+import re
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "BrokenInvariant",
+    "GraphDecoder",
     "RibbonGraph",
     "FaceDecomposition",
     "rotation",
@@ -45,6 +49,12 @@ MAX_N = (2**32 - 1) // 6  # the largest n whose 6n darts fit an array("I")
 # 4e4, 1.00-1.02x at 4.5e4, 0.96-0.99x at 5e4, 0.94-0.95x at 6e4 and 0.74x
 # at 1e5; run_trial 1.04x at 4.5e4, 1.00x at 5e4 and 0.89x at 1e5.
 _ARRAY_SHUFFLE_MIN_N = 50_000
+
+# GraphDecoder hands json.loads the matching of a graph file this many
+# characters at a time (each slice ends at the next pair boundary), so no
+# pair list outlives its slice.  Slices of 256K characters lost to one
+# json.load in 25 of 25 rounds.
+_SLICE_CHARS = 1 << 15
 
 
 class BrokenInvariant(RuntimeError):
@@ -107,10 +117,16 @@ class RibbonGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RibbonGraph":
-        """Validated graph from ``{"n": int, "matching": [[a, b], ...]}``."""
-        if not isinstance(data, dict) or not isinstance(data.get("matching"), list):
+        """Validated graph from ``{"n": int, "matching": [[a, b], ...]}``.
+
+        ``matching`` is a list, or the slices of text that ``GraphDecoder``
+        leaves in its place, parsed here as ``from_matching`` validates
+        their pairs.
+        """
+        matching = data.get("matching") if isinstance(data, dict) else None
+        if not isinstance(matching, (list, _PairSlices)):
             raise ValueError("a graph is an object with an integer n and a list of dart pairs")
-        return from_matching(data.get("n"), data["matching"])
+        return from_matching(data.get("n"), matching)
 
 
 @dataclass(frozen=True)
@@ -181,7 +197,7 @@ def _check_n(n: int) -> None:
 
 
 def from_matching(n: int, matching: Sequence[Sequence[int]]) -> RibbonGraph:
-    """Build a validated graph from a list (any sized sequence) of dart pairs.
+    """Build a validated graph from a list (any sized iterable) of dart pairs.
 
     ``n`` and the darts must be ``int`` (not ``bool``), each entry a pair,
     and the pairs must cover [0, 6n) exactly once with no self-pairs.  A
@@ -216,6 +232,80 @@ def from_matching(n: int, matching: Sequence[Sequence[int]]) -> RibbonGraph:
         alpha[a] = b
         alpha[b] = a
     return RibbonGraph(n, alpha)
+
+
+_WS = r"[ \t\n\r]*"  # JSON's whitespace; \s also matches characters json refuses
+_MATCHING_OPEN = re.compile(rf'"matching"{_WS}:{_WS}\[')
+_MATCHING_CLOSE = re.compile(rf"\]{_WS}\]")
+_PAIR_BOUNDARY = re.compile(rf"\]{_WS},{_WS}\[")
+_MARK = object()  # what the framing decoder makes of the NaN put in the matching's place
+_FRAMING = json.JSONDecoder(parse_constant=lambda name: _MARK if name == "NaN" else float(name))
+
+
+class _PairSlices:
+    """The pairs of a ``matching`` array, parsed from its text a slice at a time.
+
+    ``text[start:stop]`` is the array without its brackets.  ``len`` is
+    its count of ``[``, one per pair of ints, so ``from_matching`` refuses
+    a wrong pair count before anything is parsed.  Each slice ends at a
+    ``]`` followed by ``,`` and ``[``, and is parsed by ``json.loads`` on
+    its own.  A slice cut inside a string or a nested array does not
+    parse, and an array holding either is no matching; when every slice
+    parses, the slices are the array's items, cut between two of them.
+    So iteration yields the array's pairs or raises ``ValueError``.
+    """
+
+    def __init__(self, text: str, start: int, stop: int):
+        self._text, self._start, self._stop = text, start, stop
+
+    def __len__(self) -> int:
+        return self._text.count("[", self._start, self._stop)
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(map(json.loads, self._slices()))
+
+    def _slices(self) -> Iterator[str]:
+        text, start, stop = self._text, self._start, self._stop
+        while True:
+            cut = _PAIR_BOUNDARY.search(text, start + _SLICE_CHARS, stop)
+            if cut is None:
+                yield "[" + text[start:stop] + "]"
+                return
+            yield "[" + text[start : cut.start() + 1] + "]"
+            start = cut.end() - 1
+
+
+class GraphDecoder(json.JSONDecoder):
+    """JSON decoder for graph files that leaves the ``matching`` array as
+    text, to be parsed a slice at a time while ``from_json_dict``
+    validates its pairs.
+
+    ``json.load`` builds a list and two ints for each pair, about 85
+    bytes a dart, against the 4 of the matching they become.  Here the
+    first ``"matching": [`` and the first ``]]`` after it bound the
+    array.  The document is decoded with that array replaced by the
+    token ``NaN``, which the framing decoder turns into a marker; in a
+    text with no ``NaN`` of its own, nothing else can decode to it (a
+    placeholder string could, spelled with escapes).  If the marker is
+    then the top-level ``matching``, the array's slices take its place.
+    Any other document, a ``NaN`` in the text, or a framing that does not
+    decode is decoded by ``json`` as a whole, with json's own data and
+    errors.
+    """
+
+    def decode(self, s):
+        opening = _MATCHING_OPEN.search(s)
+        closing = opening and _MATCHING_CLOSE.search(s, opening.end())
+        if closing and "NaN" not in s:
+            start, stop = opening.end(), closing.end() - 1
+            try:
+                data = _FRAMING.decode(s[: start - 1] + "NaN" + s[stop + 1 :])
+            except ValueError:
+                data = None
+            if isinstance(data, dict) and data.get("matching") is _MARK:
+                data["matching"] = _PairSlices(s, start, stop)
+                return data
+        return super().decode(s)
 
 
 def sample(n: int, seed: int) -> RibbonGraph:

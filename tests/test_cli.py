@@ -176,10 +176,11 @@ class TestCheeger:
             ("not json", False),
             (None, False),
             ('{"n": 4}', True),
+            ("[" * 200_000, False),  # json raises RecursionError
         ],
         ids=[
             "no-n", "no-matching", "list", "self-paired", "not-json", "missing-file",
-            "no-matching-stdin",
+            "no-matching-stdin", "deep-nesting",
         ],
     )
     def test_unreadable_graph_exits_2(self, capsys, tmp_path, monkeypatch, text, stdin):
@@ -192,6 +193,18 @@ class TestCheeger:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot read graph: ")
+
+    def test_load_peak_memory_per_dart(self, peak_bytes, tmp_path):
+        # the file's bytes and its text, about 8 bytes a dart each, while
+        # they are decoded; then the text, the matching's array (4) and one
+        # slice's pair lists.  A whole json.load holds a list and two ints
+        # for every pair, 84 bytes a dart
+        g = sample(10_000, derive_seed(71, "load"))
+        path = tmp_path / "g.json"
+        path.write_text(cli._dump_json(g.to_json_dict()) + "\n")  # as sample --out writes it
+        peak, loaded = peak_bytes(cli._load_graph, str(path))
+        assert loaded == g
+        assert peak <= 24 * g.num_darts, peak / g.num_darts
 
     def test_neither_graph_nor_sample_exits_2(self, capsys):
         for argv in ((), ("--n", "10"), ("--seed", "1")):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from scipy.stats import chi2
 from belyi import ribbon
 from belyi.ribbon import (
     BrokenInvariant,
+    GraphDecoder,
     RibbonGraph,
     derive_seed,
     faces,
@@ -83,6 +85,27 @@ def pairing_counts(v: int) -> tuple[int, int]:
         )
     return pairings(v), connected[v]
 
+
+# (n, pairs, from_matching's message): each breaks one rule of the graph format
+MALFORMED = [
+    (1, [(0, 3), (True, 4), (2, 5)], NOT_AN_INT.format((True, 4))),
+    (1, [(False, 3), (1, 4), (2, 5)], NOT_AN_INT.format((False, 3))),
+    (1, [(0, 3), (1.0, 4), (2, 5)], NOT_AN_INT.format((1.0, 4))),
+    (1, [(0, 3), ("1", 4), (2, 5)], NOT_AN_INT.format(("1", 4))),
+    (1, [(0, 3), (1, None), (2, 5)], NOT_AN_INT.format((1, None))),
+    (4.5, THETA_TORUS, "n must be an integer, got 4.5"),
+    (1.0, THETA_TORUS, "n must be an integer, got 1.0"),
+    (True, THETA_TORUS, "n must be an integer, got True"),
+    ("1", THETA_TORUS, "n must be an integer, got '1'"),
+    (1, [(0, 3), (1, 4, 2), (5,)], NOT_A_PAIR.format((1, 4, 2))),
+    (1, [(0, 3), (1,), (2, 5)], NOT_A_PAIR.format((1,))),
+    (1, [(0, 3), 1, (2, 5)], NOT_A_PAIR.format(1)),
+]
+MALFORMED_IDS = [
+    "bool-dart", "false-dart", "float-dart", "string-dart", "null-dart",
+    "float-n", "integral-float-n", "bool-n", "string-n",
+    "triple", "singleton", "bare-int",
+]
 
 GOLDEN_N, GOLDEN_SEED = 100_000, 2024
 GOLDEN_MATCHING_SHA256 = "68f3d36dc2b56b5be69f269162fda916f2d9d7cc760ffa9f66e65529c0ab3d8a"
@@ -194,28 +217,7 @@ class TestFromMatching:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             from_matching(1, pairs)
 
-    @pytest.mark.parametrize(
-        "n, pairs, message",
-        [
-            (1, [(0, 3), (True, 4), (2, 5)], NOT_AN_INT.format((True, 4))),
-            (1, [(False, 3), (1, 4), (2, 5)], NOT_AN_INT.format((False, 3))),
-            (1, [(0, 3), (1.0, 4), (2, 5)], NOT_AN_INT.format((1.0, 4))),
-            (1, [(0, 3), ("1", 4), (2, 5)], NOT_AN_INT.format(("1", 4))),
-            (1, [(0, 3), (1, None), (2, 5)], NOT_AN_INT.format((1, None))),
-            (4.5, THETA_TORUS, "n must be an integer, got 4.5"),
-            (1.0, THETA_TORUS, "n must be an integer, got 1.0"),
-            (True, THETA_TORUS, "n must be an integer, got True"),
-            ("1", THETA_TORUS, "n must be an integer, got '1'"),
-            (1, [(0, 3), (1, 4, 2), (5,)], NOT_A_PAIR.format((1, 4, 2))),
-            (1, [(0, 3), (1,), (2, 5)], NOT_A_PAIR.format((1,))),
-            (1, [(0, 3), 1, (2, 5)], NOT_A_PAIR.format(1)),
-        ],
-        ids=[
-            "bool-dart", "false-dart", "float-dart", "string-dart", "null-dart",
-            "float-n", "integral-float-n", "bool-n", "string-n",
-            "triple", "singleton", "bare-int",
-        ],
-    )
+    @pytest.mark.parametrize("n, pairs, message", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_rejected(self, n, pairs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             from_matching(n, pairs)
@@ -239,6 +241,66 @@ class TestFromMatching:
         assert from_matching(4, g.to_json_dict()["matching"]) == g
 
 
+def read_graph(text: str) -> RibbonGraph:
+    return RibbonGraph.from_json_dict(json.loads(text, cls=GraphDecoder))
+
+
+class TestGraphDecoder:
+    """Graph files read through ``GraphDecoder``, whose matching is parsed
+    a slice at a time, give what ``from_matching`` gives on json's pairs."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        n_first=st.booleans(),
+        layout=st.sampled_from(
+            [{}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")},
+             {"indent": 1, "separators": (" ,", " : ")}]
+        ),
+        before=st.sampled_from([{}, {"label": "]]"}, {"header": {"matching": [[0, 1]]}}]),
+        after=st.sampled_from([{}, {"tail": [[1, 2], [3, 4]]}, {"extra": {"matching": "x"}}]),
+        slice_chars=st.sampled_from([1, 5, 12, ribbon._SLICE_CHARS]),
+    )
+    def test_reads_what_json_reads(self, n, seed, n_first, layout, before, after, slice_chars):
+        pairs = sample(n, seed).pairs()
+        members = {"n": n, "matching": pairs} if n_first else {"matching": pairs, "n": n}
+        text = json.dumps({**before, **members, **after}, **layout)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ribbon, "_SLICE_CHARS", slice_chars)
+            data = json.loads(text, cls=GraphDecoder)
+            # the matching stays text unless a nested "matching" comes first
+            assert isinstance(data["matching"], list) == ("header" in before)
+            assert RibbonGraph.from_json_dict(data) == from_matching(n, pairs)
+
+    @pytest.mark.parametrize("n, pairs, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_rejected(self, monkeypatch, n, pairs, message):
+        monkeypatch.setattr(ribbon, "_SLICE_CHARS", 3)  # one pair a slice
+        with pytest.raises(ValueError):
+            read_graph(json.dumps({"matching": pairs, "n": n}))
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\x0b"], ids=["nbsp", "vtab"])
+    def test_space_json_refuses_is_refused_at_a_cut(self, monkeypatch, space):
+        # Python's \s matches both, but JSON's whitespace is " \t\n\r" only
+        monkeypatch.setattr(ribbon, "_SLICE_CHARS", 3)
+        with pytest.raises(ValueError):
+            read_graph('{"matching": [[0, 3],' + space + '[1, 4], [2, 5]], "n": 1}')
+
+    def test_later_nan_matching_is_decoded_by_json(self):
+        # json keeps the last "matching", a float; were the NaN read as the
+        # framing's marker, the first array would be taken as the graph
+        text = '{"matching": [[0, 3], [1, 4], [2, 5]], "n": 1, "matching": NaN}'
+        with pytest.raises(ValueError, match=f"^{NOT_A_GRAPH}$"):
+            read_graph(text)
+
+    @pytest.mark.parametrize("slice_chars", [3, ribbon._SLICE_CHARS])
+    def test_string_dart_holding_the_closing_brackets(self, monkeypatch, slice_chars):
+        # "]]" ends the matching's text early; the framing does not decode
+        monkeypatch.setattr(ribbon, "_SLICE_CHARS", slice_chars)
+        with pytest.raises(ValueError, match=re.escape(NOT_AN_INT.format(["]]", 4]))):
+            read_graph('{"matching": [[0, 3], ["]]", 4], [2, 5]], "n": 1}')
+
+
 def shuffled_matching(n: int, seed: int) -> tuple[int, ...]:
     """The matching that pairs neighbours of ``random.Random(seed).shuffle``
     applied to the darts ``0 .. 6n-1``: ``sample``'s seed contract."""
@@ -253,16 +315,19 @@ def shuffled_matching(n: int, seed: int) -> tuple[int, ...]:
 
 class TestSample:
     @pytest.mark.parametrize(
-        "n, bound",
-        [(10_000, 45), (ribbon._ARRAY_SHUFFLE_MIN_N, 9)],
-        ids=["list", "array"],
+        "array_min_n, bound", [(10_001, 45), (10_000, 9)], ids=["list", "array"]
     )
-    def test_peak_memory_per_dart(self, peak_bytes, n, bound):
+    def test_peak_memory_per_dart(self, peak_bytes, monkeypatch, array_min_n, bound):
         # below _ARRAY_SHUFFLE_MIN_N: the shuffled list (8 bytes a dart), one
         # int per dart (32) and the matching's array (4); from it on, the
         # shuffled array (4) and the matching's (4).  Either bound fails if
         # a temporary bytes builds an array (4) or the buffer is paired
-        # through half-size slices (8 for the list, 4 for the array)
+        # through half-size slices (8 for the list, 4 for the array).  The
+        # threshold is put just above or at n = 1e4, where tracemalloc runs
+        # through the array's shuffle in a quarter of its time at 5e4;
+        # test_reproduces_random_shuffle_on_both_buffers covers the real one
+        n = 10_000
+        monkeypatch.setattr(ribbon, "_ARRAY_SHUFFLE_MIN_N", array_min_n)
         peak, g = peak_bytes(sample, n, derive_seed(67, "memory"))
         assert g.num_darts == 6 * n
         assert peak <= bound * g.num_darts, peak / g.num_darts
