@@ -9,16 +9,15 @@ row, on surfaces from their own seed streams; ``farey`` checks the Farey
 counts and bounds.
 Exit codes: 0 ok, 1 invariant failure (a counterexample, so a bug),
 2 usage or validation error (including a length that is not a
-positive finite number, or a worker or seed count below 1,
-rejected while parsing, and a length above 62, past the Farey level
-cap), 3 no large cusp to cut.  ``main`` alone maps
+positive finite number, a worker or seed count below 1, or an empty
+``--out``, rejected while parsing, and a length above 62, past the
+Farey level cap), 3 no large cusp to cut.  ``main`` alone maps
 errors to these codes.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import gc
 import json
@@ -62,32 +61,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonempty(text: str) -> str:
+    """argparse type for ``--out``: "" names no file, and as a directory it is "."."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, then restore its previous state.
-
-    Graph JSON holds 3n pair lists of ints, which can never be part of a
-    reference cycle; with the collector on, building them triggers about
-    430 collections at n = 1e5 in ``to_json_dict``, and 320 when
-    ``from_json_dict`` parses them a slice at a time.  Callers free the
-    lists inside the block, so that no collection ever scans them.
-    """
+def _load_graph(source: str) -> ribbon.RibbonGraph:
+    """The graph in ``source`` (stdin for ``-``), read with the cyclic collector paused:
+    json's pair lists of ints form no cycle, yet would trigger 320 collections at n = 1e5."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _load_graph(source: str) -> ribbon.RibbonGraph:
-    with _gc_paused():
         if source == "-":
             data = json.load(sys.stdin, cls=ribbon.GraphDecoder)
         else:
@@ -95,18 +86,20 @@ def _load_graph(source: str) -> ribbon.RibbonGraph:
                 data = json.load(fh, cls=ribbon.GraphDecoder)
         g = ribbon.RibbonGraph.from_json_dict(data)
         del data  # free the text, or json's pair lists, before the collector resumes
+    finally:
+        if was_enabled:
+            gc.enable()
     return g
 
 
 def _cmd_sample(args) -> int:
     g = ribbon.sample(args.n, args.seed)
     fd = ribbon.faces(g)
-    with _gc_paused():
-        text = _dump_json(g.to_json_dict())
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    if args.out is None:
+        g.write_json(sys.stdout)
     else:
-        print(text)
+        with open(args.out, "w") as fh:
+            g.write_json(fh)
     print(
         f"lht={fd.lht} genus={fd.genus} connected={str(fd.connected).lower()} "
         f"degrees={sorted(fd.degrees)}",
@@ -261,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a graph and print its JSON")
     p.add_argument("--n", type=int, required=True, help="size parameter (2n vertices)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--out", help="write the graph JSON to this file instead of stdout")
+    p.add_argument("--out", type=_nonempty, help="write the graph JSON to this file, not stdout")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("cheeger", help="run the cut pipeline and print the division JSON")
@@ -301,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes (default: one per CPU this process may use)",
     )
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_nonempty, required=True, help="output directory")
     p.set_defaults(func=_cmd_grid)
 
     return parser

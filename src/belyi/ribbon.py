@@ -24,8 +24,8 @@ import random
 import re
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence, TextIO
 
 __all__ = [
     "BrokenInvariant",
@@ -55,6 +55,7 @@ _ARRAY_SHUFFLE_MIN_N = 50_000
 # pair list outlives its slice.  Slices of 256K characters lost to one
 # json.load in 25 of 25 rounds.
 _SLICE_CHARS = 1 << 15
+_WRITE_PAIRS = 8192  # RibbonGraph.write_json writes this many pairs at a time
 
 
 class BrokenInvariant(RuntimeError):
@@ -108,12 +109,18 @@ class RibbonGraph:
     def num_vertices(self) -> int:
         return 2 * self.n
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """The matching as a sorted list of (low, high) dart pairs."""
-        return [(d, e) for d, e in enumerate(self.matching) if d < e]
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The (low, high) dart pairs, in increasing order of the low dart, one at a time."""
+        return ((d, e) for d, e in enumerate(self.matching) if d < e)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "matching": [[a, b] for a, b in self.pairs()]}
+    def write_json(self, fh: TextIO) -> None:
+        """Write ``json.dumps({"matching": [[a, b], ...], "n": n}, sort_keys=True,
+        separators=(", ", ": "))`` and a newline to ``fh``, ``_WRITE_PAIRS`` pairs at a time."""
+        items = map("[%d, %d]".__mod__, self.pairs())
+        fh.write('{"matching": [' + ", ".join(islice(items, _WRITE_PAIRS)))
+        while batch := ", ".join(islice(items, _WRITE_PAIRS)):
+            fh.write(", " + batch)
+        fh.write(f'], "n": {self.n}}}\n')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RibbonGraph":

@@ -21,6 +21,13 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def graph_text(g: ribbon.RibbonGraph) -> str:
+    """The graph file of ``g``, as ``sample`` writes it."""
+    fh = io.StringIO()
+    g.write_json(fh)
+    return fh.getvalue()
+
+
 class TestSample:
     def test_writes_graph_json(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "1", "--seed", "42")
@@ -59,6 +66,27 @@ class TestSample:
         _, out1, _ = run_cli(capsys, "sample", "--n", "4", "--seed", "9")
         _, out2, _ = run_cli(capsys, "sample", "--n", "4", "--seed", "9")
         assert out1 == out2
+
+    def test_golden_stdout(self, capsys):
+        # sha256 of the exact stdout bytes, trailing newline included
+        code, out, _ = run_cli(capsys, "sample", "--n", "5", "--seed", "3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "2c8278d1248839d9f631d17e30a9be4adbe8730875ef17d91f364da5302c3c04"
+
+    def test_golden_out_file(self, capsys, tmp_path):
+        # 30000 pairs, written in four batches of ribbon._WRITE_PAIRS
+        path = tmp_path / "g.json"
+        code, out, _ = run_cli(capsys, "sample", "--n", "10000", "--seed", "9", "--out", str(path))
+        assert (code, out) == (0, "")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "6e5a79ea49e90916678d7ce2a0ae106923e4feb7dfd6f3178c5613e66e2cdce1"
+
+    def test_empty_out_exits_2(self, capsys):
+        # "" names no file; it must not fall back to stdout
+        code, out, err = run_cli(capsys, "sample", "--n", "1", "--seed", "42", "--out", "")
+        assert (code, out) == (2, "")
+        assert "error: argument --out: must not be empty" in err
 
 
 class TestCheeger:
@@ -156,7 +184,7 @@ class TestCheeger:
     def test_malformed_graph_exits_2(self, capsys, tmp_path, n, first_pair):
         # n = 5, seed 3 is a known connected sample whose cheeger run succeeds;
         # its first pair is (0, b)
-        data = sample(5, 3).to_json_dict()
+        data = json.loads(graph_text(sample(5, 3)))
         data["n"] = n
         data["matching"][0] = first_pair(data["matching"][0][1])
         path = tmp_path / "bad.json"
@@ -201,7 +229,8 @@ class TestCheeger:
         # for every pair, 84 bytes a dart
         g = sample(10_000, derive_seed(71, "load"))
         path = tmp_path / "g.json"
-        path.write_text(cli._dump_json(g.to_json_dict()) + "\n")  # as sample --out writes it
+        with open(path, "w") as fh:
+            g.write_json(fh)
         peak, loaded = peak_bytes(cli._load_graph, str(path))
         assert loaded == g
         assert peak <= 24 * g.num_darts, peak / g.num_darts
@@ -264,8 +293,9 @@ class TestCheeger:
 
 
 class TestCollectorPause:
-    """``cheeger --graph`` and ``sample`` pause the cyclic collector while
-    they parse or build the pair lists, and leave it as they found it."""
+    """``cheeger --graph`` pauses the cyclic collector while it parses the
+    pair lists; it and ``sample``, which builds none, leave the collector
+    as they found it."""
 
     @pytest.fixture(autouse=True)
     def restore_collector(self):
@@ -280,7 +310,7 @@ class TestCollectorPause:
         # 6000 pair lists, several gen-0 thresholds' worth with the collector on
         g = sample(2000, 1)
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(g.to_json_dict()))
+        path.write_text(graph_text(g))
         collections = []
 
         def hook(phase, info):
@@ -304,7 +334,7 @@ class TestCollectorPause:
     )
     def test_state_restored(self, capsys, tmp_path, monkeypatch, enabled, case, expected):
         # n = 5, seed 3 is a known connected sample whose cheeger run succeeds
-        data = sample(5, 3).to_json_dict()
+        data = json.loads(graph_text(sample(5, 3)))
         if case == "true-dart":
             data["matching"][0] = [True, data["matching"][0][1]]
         if case == "broken":
@@ -551,6 +581,18 @@ class TestGrid:
         )
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    def test_empty_out_exits_2_before_running(self, capsys, tmp_path, monkeypatch):
+        # Path("") is the current directory, which would get both files
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trial", no_trial)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "grid", "--n-list", "10", "--trials", "1", "--out", "")
+        assert (code, out) == (2, "")
+        assert "error: argument --out: must not be empty" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_golden_summary(self, capsys, tmp_path):
         # sha256 of summary.json on the grid of the golden CSV digest in test_experiments

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import random
@@ -158,8 +159,8 @@ class TestFromMatching:
     def test_theta_graph_valid(self):
         g = from_matching(1, THETA_TORUS)
         assert g.n == 1
-        assert g.num_vertices == 2 and len(g.pairs()) == 3 and g.num_darts == 6
-        assert g.pairs() == THETA_TORUS
+        assert g.num_vertices == 2 and g.num_darts == 6
+        assert list(g.pairs()) == THETA_TORUS
 
     def test_n_below_one(self):
         with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
@@ -238,11 +239,44 @@ class TestFromMatching:
 
     def test_json_round_trip(self):
         g = sample(4, 99)
-        assert from_matching(4, g.to_json_dict()["matching"]) == g
+        assert read_graph(graph_text(g)) == g
 
 
 def read_graph(text: str) -> RibbonGraph:
     return RibbonGraph.from_json_dict(json.loads(text, cls=GraphDecoder))
+
+
+def graph_text(g: RibbonGraph) -> str:
+    """What ``write_json`` writes for ``g``."""
+    fh = io.StringIO()
+    g.write_json(fh)
+    return fh.getvalue()
+
+
+class TestWriteJson:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        write_pairs=st.sampled_from([1, 2, ribbon._WRITE_PAIRS]),
+    )
+    def test_writes_what_json_dumps_writes(self, n, seed, write_pairs):
+        g = sample(n, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ribbon, "_WRITE_PAIRS", write_pairs)
+            text = graph_text(g)
+        pairs = [[d, e] for d, e in enumerate(g.matching) if d < e]
+        expected = json.dumps({"matching": pairs, "n": n}, sort_keys=True, separators=(", ", ": "))
+        assert text == expected + "\n"
+
+    def test_peak_memory_per_dart(self, peak_bytes, tmp_path):
+        # one batch of _WRITE_PAIRS pair strings and their join, about 14
+        # bytes a dart at n = 1e4 and fewer beyond; a list per pair and the
+        # whole document, as json.dumps builds them, take 117
+        g = sample(10_000, derive_seed(71, "write"))
+        with open(tmp_path / "g.json", "w") as fh:
+            peak, _ = peak_bytes(g.write_json, fh)
+        assert peak <= 24 * g.num_darts, peak / g.num_darts
 
 
 class TestGraphDecoder:
@@ -263,7 +297,7 @@ class TestGraphDecoder:
         slice_chars=st.sampled_from([1, 5, 12, ribbon._SLICE_CHARS]),
     )
     def test_reads_what_json_reads(self, n, seed, n_first, layout, before, after, slice_chars):
-        pairs = sample(n, seed).pairs()
+        pairs = list(sample(n, seed).pairs())
         members = {"n": n, "matching": pairs} if n_first else {"matching": pairs, "n": n}
         text = json.dumps({**before, **members, **after}, **layout)
         with pytest.MonkeyPatch.context() as mp:
@@ -344,7 +378,7 @@ class TestSample:
 
     def test_closure_under_validation(self):
         g = sample(100, 7)
-        assert from_matching(100, g.pairs()) == g
+        assert from_matching(100, list(g.pairs())) == g
 
     def test_uniform_over_the_15_matchings(self):
         # brute-force enumeration is the oracle for the sample space
@@ -550,7 +584,7 @@ class TestFaces:
         # union has one component per part at least and lht adds up
         union, parts, offset = [], [], 0
         for i, n in enumerate(sizes):
-            pairs = sample(n, derive_seed(71, i, n)).pairs()
+            pairs = list(sample(n, derive_seed(71, i, n)).pairs())
             fd = faces(from_matching(n, pairs))
             assert fd.connected == naive_connected(n, pairs)
             parts.append(fd)
